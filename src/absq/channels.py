@@ -3,17 +3,21 @@
 The flip channels use the completeness-consistent normalization
 K0 = sqrt(1-p) I, K1 = sqrt(p) sigma; every constructed channel is checked
 against sum(K_i^dagger K_i) = I at build time.
+
+Each channel carries its transfer tensor
+S[a, a', c, c'] = sum_k K_k[a, c] conj(K_k[a', c']), computed once, so that
+(E rho)[a, a'] = sum_{c, c'} S[a, a', c, c'] rho[c, c'].  Reshaped to a
+d^2 x d^2 matrix it is sum_k K_k (x) conj(K_k) acting on row-major vec(rho).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
 
 from .errors import CompletenessViolation, DimensionMismatch, OutOfRange
-from .linalg import kron
 from .states import DensityMatrix
 from .tolerances import HERMITICITY_TOL
 
@@ -33,18 +37,23 @@ CHANNEL_NAMES = (
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP map given by its Kraus operators."""
+    """A CPTP map given by its Kraus operators, with the transfer tensor
+    built from them (see the module docstring)."""
 
     name: str
     parameter: float
     kraus_ops: tuple
+    transfer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
         object.__setattr__(self, "kraus_ops", ops)
+        stack = np.stack(ops)
+        s = np.einsum("kac,kbd->abcd", stack, stack.conj())
+        object.__setattr__(self, "transfer", s)
         dim = ops[0].shape[0]
-        total = sum(k.conj().T @ k for k in ops)
-        err = float(np.max(np.abs(total - np.eye(dim))))
+        # tracing S over (a, a') gives (sum K^dagger K) transposed
+        err = float(np.max(np.abs(np.einsum("aacd->cd", s) - np.eye(dim))))
         if err > HERMITICITY_TOL:
             raise CompletenessViolation(
                 f"sum K^dagger K deviates from identity by {err:.3e}"
@@ -87,9 +96,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """sum_i K_i rho K_i^dagger on a state of matching dimension."""
     if ch.dim != rho.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} != state dim {rho.dim}")
-    out = np.zeros_like(rho.matrix)
-    for k in ch.kraus_ops:
-        out += k @ rho.matrix @ k.conj().T
+    out = np.einsum("abcd,cd->ab", ch.transfer, rho.matrix)
     return DensityMatrix(out, rho.dims)
 
 
@@ -99,12 +106,16 @@ def double_apply(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMatrix) -> 
         raise DimensionMismatch(f"expected a (2, 2) state, got dims {rho.dims}")
     if ch_a.dim != 2 or ch_b.dim != 2:
         raise DimensionMismatch("double_apply needs single-qubit channels")
-    out = np.zeros_like(rho.matrix)
-    for ka in ch_a.kraus_ops:
-        for kb in ch_b.kraus_ops:
-            m = kron(ka, kb)
-            out += m @ rho.matrix @ m.conj().T
-    return DensityMatrix(out, rho.dims)
+    # reshuffle rho[(a b), (a' b')] into R[(a a'), (b b')]; then the product
+    # channel acts as S_a R S_b^T with S_x the 4x4 transfer matrices
+    r = _reshuffle(rho.matrix)
+    out = ch_a.transfer.reshape(4, 4) @ r @ ch_b.transfer.reshape(4, 4).T
+    return DensityMatrix(_reshuffle(out), rho.dims)
+
+
+def _reshuffle(m: np.ndarray) -> np.ndarray:
+    # an involution on 4x4 matrices: m[(a b), (a' b')] <-> m[(a a'), (b b')]
+    return m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def global_depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:

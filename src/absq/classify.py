@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .bloch import BlochBipartite, BlochTripartite, pair_tensors
-from .entropy import _check_alpha, trace_power_real, von_neumann
+from .entropy import _check_alpha, _clamp, _entropy_bits, _power_sum
 from .errors import DimensionMismatch, SumMismatch
-from .linalg import eigvals_hermitian, trace_power
+from .linalg import _trace_power, eigvals_hermitian
 from .states import DensityMatrix
 from .tolerances import CLASS_MARGIN
 
@@ -26,18 +26,43 @@ def _local_dim(rho: DensityMatrix) -> int:
     return rho.dims[0]
 
 
+# Spectrum-level verdicts: eigs is the non-increasing spectrum of a d x d
+# state.  The public predicates and classification_report share them.
+
+
+def _afef(eigs: np.ndarray, d: int) -> tuple[bool, float]:
+    lam_max = float(eigs[0])
+    return lam_max <= 1.0 / d + CLASS_MARGIN, lam_max
+
+
+def _acvenn(eigs: np.ndarray, d: int) -> tuple[bool, float]:
+    s = _entropy_bits(_clamp(eigs))
+    return s >= math.log2(d) - CLASS_MARGIN, s
+
+
+def _acrenn(eigs: np.ndarray, d: int, alpha: float) -> tuple[bool, float]:
+    witness = _power_sum(_clamp(eigs), alpha)
+    bound = d ** (1.0 - alpha)
+    if alpha < 1:
+        return witness >= bound - CLASS_MARGIN, witness
+    return witness <= bound + CLASS_MARGIN, witness
+
+
+def _acre2nn(eigs: np.ndarray, d: int) -> tuple[bool, float]:
+    purity = _trace_power(eigs, 2)
+    return purity <= 1.0 / d + CLASS_MARGIN, purity
+
+
 def is_afef(rho: DensityMatrix) -> tuple[bool, float]:
     """Absolute fully-entangled-fraction class: lambda_max <= 1/d."""
     d = _local_dim(rho)
-    lam_max = float(eigvals_hermitian(rho.matrix)[0])
-    return lam_max <= 1.0 / d + CLASS_MARGIN, lam_max
+    return _afef(eigvals_hermitian(rho.matrix), d)
 
 
 def is_acvenn(rho: DensityMatrix) -> tuple[bool, float]:
     """Absolute nonnegative conditional von Neumann entropy: S >= log2 d."""
     d = _local_dim(rho)
-    s = von_neumann(rho)
-    return s >= math.log2(d) - CLASS_MARGIN, s
+    return _acvenn(eigvals_hermitian(rho.matrix), d)
 
 
 def is_acrenn(rho: DensityMatrix, alpha: float) -> tuple[bool, float]:
@@ -48,18 +73,13 @@ def is_acrenn(rho: DensityMatrix, alpha: float) -> tuple[bool, float]:
     """
     _check_alpha(alpha)
     d = _local_dim(rho)
-    witness = trace_power_real(rho, alpha)
-    bound = d ** (1.0 - alpha)
-    if alpha < 1:
-        return witness >= bound - CLASS_MARGIN, witness
-    return witness <= bound + CLASS_MARGIN, witness
+    return _acrenn(eigvals_hermitian(rho.matrix), d, alpha)
 
 
 def is_acre2nn(rho: DensityMatrix) -> tuple[bool, float]:
     """Order-2 case reduces to purity: Tr(rho^2) <= 1/d."""
     d = _local_dim(rho)
-    purity = trace_power(rho, 2)
-    return purity <= 1.0 / d + CLASS_MARGIN, purity
+    return _acre2nn(eigvals_hermitian(rho.matrix), d)
 
 
 def acre2nn_bloch(bb: BlochBipartite) -> tuple[bool, float]:
@@ -114,10 +134,12 @@ class ClassificationReport:
 
 
 def classification_report(rho: DensityMatrix, alphas=(0.5, 2.0)) -> ClassificationReport:
+    """Every verdict for one state, all read off a single spectrum."""
     d = _local_dim(rho)
-    afef, lam = is_afef(rho)
-    acv, s = is_acvenn(rho)
-    ac2, pur = is_acre2nn(rho)
+    eigs = eigvals_hermitian(rho.matrix)
+    afef, lam = _afef(eigs, d)
+    acv, s = _acvenn(eigs, d)
+    ac2, pur = _acre2nn(eigs, d)
     report = ClassificationReport(
         afef=afef,
         lambda_max=lam,
@@ -132,6 +154,7 @@ def classification_report(rho: DensityMatrix, alphas=(0.5, 2.0)) -> Classificati
         },
     )
     for alpha in alphas:
-        report.acrenn[alpha] = is_acrenn(rho, alpha)
+        _check_alpha(alpha)
+        report.acrenn[alpha] = _acrenn(eigs, d, alpha)
         report.thresholds[f"trace_power[{alpha:g}]"] = d ** (1.0 - alpha)
     return report

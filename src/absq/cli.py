@@ -54,11 +54,15 @@ def parse_spec(text: str) -> tuple[str, dict]:
                 f"expected key=value at position {pos} in {text!r}, got {field!r}"
             )
         try:
-            params[key] = float(value)
+            number = float(value)
         except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
             raise SpecError(
-                f"expected a number at position {pos + len(key) + 1} in {text!r}, got {value!r}"
-            ) from None
+                f"expected a finite number at position {pos + len(key) + 1} in {text!r}, "
+                f"got {value!r}"
+            )
+        params[key] = number
         pos += len(field) + 1
     return name, params
 
@@ -101,13 +105,7 @@ def build_state(spec: str) -> states.DensityMatrix:
     raise SpecError(f"unknown state {name!r}")
 
 
-_CHANNEL_ALIASES = {
-    "phase-flip": "phase_flip",
-    "bit-flip": "bit_flip",
-    "phase-damping": "phase_damping",
-    "amplitude-damping": "amplitude_damping",
-    "depolarizing": "depolarizing",
-}
+_CHANNEL_ALIASES = {name.replace("_", "-"): name for name in channels.CHANNEL_NAMES}
 
 
 def apply_channel(spec: str, rho: states.DensityMatrix) -> states.DensityMatrix:
@@ -214,21 +212,14 @@ TABLE3_REFERENCE = {2: 0.0654827, 3: 0.108858, 4: 0.136226, 5: 0.15533}
 TABLE4_REFERENCE = {3: 0.765349, 4: 0.7806, 5: 0.831004, 6: 0.907309}
 
 
-def _acin_after(channel: str, p: float, sides: int) -> states.DensityMatrix:
-    base = states.acin_two_param(0.9, math.pi / 4)
-    ch = channels.make_channel(channel, p)
-    if sides == 2:
-        return channels.double_apply(ch, ch, base)
-    ident = channels.make_channel(channel, 0.0)
-    return channels.double_apply(ch, ident, base)
-
-
 def table2_rows(points: int = 2001):
     """One row per table cell: computed AC/AF interval endpoints on the
     two-qubit mixed family under each double-sided channel, with reference
     values and deltas.  The depolarizing row is also reported under the
     single-sided reading since its reference cell does not state one.
     """
+    base = states.acin_two_param(0.9, math.pi / 4)
+    ident = channels.make_channel("depolarizing", 0.0)  # the identity map
     rows = []
     for channel in TABLE2_CHANNELS:
         sides_options = (2, 1) if channel == "depolarizing" else (2,)
@@ -236,7 +227,8 @@ def table2_rows(points: int = 2001):
             for crit, target, sense in (("ac", 1.0, ">="), ("af", 0.5, "<=")):
 
                 def witness(p, _channel=channel, _sides=sides, _crit=crit):
-                    rho = _acin_after(_channel, p, _sides)
+                    ch = channels.make_channel(_channel, p)
+                    rho = channels.double_apply(ch, ch if _sides == 2 else ident, base)
                     if _crit == "ac":
                         return entropy.von_neumann(rho)
                     return float(eigvals_hermitian(rho.matrix)[0])
@@ -288,10 +280,10 @@ def table3_rows():
     family at beta = 0.8, for local dimensions 2..5."""
     rows = []
     for d, ref in TABLE3_REFERENCE.items():
+        base = states.isotropic(d, 0.8)
 
-        def witness(lam, _d=d):
-            rho = channels.global_depolarize(states.isotropic(_d, 0.8), lam)
-            return entropy.von_neumann(rho)
+        def witness(lam, _base=base):
+            return entropy.von_neumann(channels.global_depolarize(_base, lam))
 
         lam_star = sweep.find_boundary(witness, (0.0, 1.0), math.log2(d))
         rows.append({"d": d, "beta": 0.8, "lam": lam_star, "ref": ref, "delta": abs(lam_star - ref)})
@@ -316,10 +308,10 @@ def table4_rows(terms: int = 10):
     """
     rows = []
     for d, ref in TABLE4_REFERENCE.items():
+        base = states.isotropic(d, 1.0)
 
-        def witness(lam, _d=d):
-            rho = channels.global_depolarize(states.isotropic(_d, 1.0), lam)
-            return entropy.series_estimate_flat(rho, terms=terms)
+        def witness(lam, _base=base):
+            return entropy.series_estimate_flat(channels.global_depolarize(_base, lam), terms=terms)
 
         lam_star = sweep.find_boundary(witness, (0.0, 1.0), math.log2(d))
         rows.append(
@@ -346,10 +338,14 @@ def cmd_table4(args) -> int:
     return 0
 
 
-def swap_scan_point(rho_ab, rho_bc):
-    """(S_ab, S_bc, four conditional entropies, success flag) for one pair."""
-    in_ab, s_ab = classify.is_acvenn(rho_ab)
-    in_bc, s_bc = classify.is_acvenn(rho_bc)
+def swap_scan_point(ab, bc):
+    """(S_ab, S_bc, four conditional entropies, success flag) for one pair.
+
+    ab and bc are (state, ACVENN verdict, entropy) triples, so that a state
+    shared by many grid points is classified once.
+    """
+    rho_ab, in_ab, s_ab = ab
+    rho_bc, in_bc, s_bc = bc
     outcomes = swap.swap_conditionals(rho_ab, rho_bc)
     conds = [
         entropy.von_neumann(o.conditional_state) if o.conditional_state is not None else math.nan
@@ -359,35 +355,37 @@ def swap_scan_point(rho_ab, rho_bc):
     return s_ab, s_bc, conds, success
 
 
+def _classified(rho):
+    return (rho, *classify.is_acvenn(rho))
+
+
 def cmd_swap_scan(args) -> int:
     n = args.resolution
-    rows = []
+    # every distinct input state is built and classified once: r^2 of them
+    # for rho_ab, keyed by its two grid coordinates, and r for rho_bc
     if args.family == "global-depolarizing":
         p1s = np.linspace(0.0, 1.0, n)
         thetas = np.linspace(0.05, math.pi / 2 - 0.05, n)
-        for p1 in p1s:
-            for th1 in thetas:
-                rho_ab = states.depolarized_schmidt(th1, p1)
-                for th2 in thetas:
-                    rho_bc = states.depolarized_schmidt(th2, args.p2)
-                    s_ab, s_bc, conds, success = swap_scan_point(rho_ab, rho_bc)
-                    rows.append([p1, th1, th2, s_ab, s_bc, *conds, str(success).lower()])
+        firsts = [
+            ((p1, th1), _classified(states.depolarized_schmidt(th1, p1)))
+            for p1 in p1s
+            for th1 in thetas
+        ]
+        seconds = [(th2, _classified(states.depolarized_schmidt(th2, args.p2))) for th2 in thetas]
         header = ["p1", "theta1", "theta2", "S_ab", "S_bc", "S00", "S01", "S10", "S11", "success"]
     elif args.family == "amplitude-damping":
         ps = np.linspace(0.0, 1.0, n)
-        theta = math.pi / 4
-        base = states.pure_schmidt(theta)
-        for p1 in ps:
-            for p2 in ps:
-                ch1 = channels.make_channel("amplitude_damping", p1)
-                ch2 = channels.make_channel("amplitude_damping", p2)
-                rho_ab = channels.double_apply(ch1, ch2, base)
-                for p3 in ps:
-                    ch3 = channels.make_channel("amplitude_damping", p3)
-                    ch4 = channels.make_channel("amplitude_damping", args.p4)
-                    rho_bc = channels.double_apply(ch3, ch4, base)
-                    s_ab, s_bc, conds, success = swap_scan_point(rho_ab, rho_bc)
-                    rows.append([p1, p2, p3, s_ab, s_bc, *conds, str(success).lower()])
+        base = states.pure_schmidt(math.pi / 4)
+        chans = [channels.make_channel("amplitude_damping", p) for p in ps]
+        ch4 = channels.make_channel("amplitude_damping", args.p4)
+        firsts = [
+            ((p1, p2), _classified(channels.double_apply(c1, c2, base)))
+            for p1, c1 in zip(ps, chans)
+            for p2, c2 in zip(ps, chans)
+        ]
+        seconds = [
+            (p3, _classified(channels.double_apply(c3, ch4, base))) for p3, c3 in zip(ps, chans)
+        ]
         header = ["p1", "p2", "p3", "S_ab", "S_bc", "S00", "S01", "S10", "S11", "success"]
     else:
         print(
@@ -397,10 +395,41 @@ def cmd_swap_scan(args) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
+    rows = []
+    for (x1, x2), ab in firsts:
+        for x3, bc in seconds:
+            s_ab, s_bc, conds, success = swap_scan_point(ab, bc)
+            rows.append([x1, x2, x3, s_ab, s_bc, *conds, str(success).lower()])
     write_csv_rows(args.out, header, rows)
     successes = sum(1 for r in rows if r[-1] == "true")
     print(f"wrote {len(rows)} rows to {args.out} ({successes} success points)")
     return 0
+
+
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float, else a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table2", help="AC/AF intervals for the noisy two-qubit mixed family")
     p.add_argument("--out", default="table2.csv")
-    p.add_argument("--points", type=int, default=2001, help="coarse grid size per scan")
+    p.add_argument("--points", type=_int_at_least(2), default=2001, help="coarse grid size per scan")
     p.set_defaults(func=cmd_table2)
 
     p = sub.add_parser("table3", help="exact isotropic membership boundaries (beta = 0.8)")
@@ -430,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table4", help="series-surrogate isotropic membership boundaries")
     p.add_argument("--out", default="table4.csv")
-    p.add_argument("--terms", type=int, default=10)
+    p.add_argument("--terms", type=_int_at_least(1), default=10)
     p.set_defaults(func=cmd_table4)
 
     p = sub.add_parser("swap-scan", help="scan the swapping network for retrieval regions")
@@ -439,9 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("global-depolarizing", "amplitude-damping", "phase-damping"),
     )
-    p.add_argument("--resolution", type=int, default=15, help="grid points per axis")
-    p.add_argument("--p2", type=float, default=0.705882, help="fixed second-state weight (global-depolarizing)")
-    p.add_argument("--p4", type=float, default=0.714286, help="fixed fourth damping parameter (amplitude-damping)")
+    p.add_argument("--resolution", type=_int_at_least(1), default=15, help="grid points per axis")
+    p.add_argument("--p2", type=_finite_float, default=0.705882, help="fixed second-state weight (global-depolarizing)")
+    p.add_argument("--p4", type=_finite_float, default=0.714286, help="fixed fourth damping parameter (amplitude-damping)")
     p.add_argument("--out", default="swap_scan.csv")
     p.set_defaults(func=cmd_swap_scan)
     return parser

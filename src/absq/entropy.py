@@ -18,23 +18,37 @@ from .states import DensityMatrix
 from .tolerances import EIG_CLAMP_FLOOR
 
 
-def _clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:
-    """Spectrum with tiny negative roundoff mapped to exact zero.
+def _clamp(eigs: np.ndarray) -> np.ndarray:
+    """A non-increasing spectrum with tiny negative roundoff mapped to
+    exact zero.
 
     Anything below the clamp floor is a PSD failure upstream and is
     rejected here rather than silently fixed.
     """
-    eigs = eigvals_hermitian(rho.matrix)
     if eigs[-1] < EIG_CLAMP_FLOOR:
         raise ValueError(f"eigenvalue {eigs[-1]:.3e} below the PSD clamp floor")
     return np.where(eigs < 0, 0.0, eigs)
 
 
-def von_neumann(rho: DensityMatrix) -> float:
-    """S(rho) = -sum(lambda log2 lambda), with 0 log 0 = 0."""
-    eigs = _clamped_eigenvalues(rho)
+def _clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:
+    return _clamp(eigvals_hermitian(rho.matrix))
+
+
+def _entropy_bits(eigs: np.ndarray) -> float:
+    # eigs already clamped
     pos = eigs[eigs > 0]
     return float(-np.sum(pos * np.log2(pos)))
+
+
+def _power_sum(eigs: np.ndarray, alpha: float) -> float:
+    # eigs already clamped
+    pos = eigs[eigs > 0]
+    return float(np.sum(pos ** alpha))
+
+
+def von_neumann(rho: DensityMatrix) -> float:
+    """S(rho) = -sum(lambda log2 lambda), with 0 log 0 = 0."""
+    return _entropy_bits(_clamped_eigenvalues(rho))
 
 
 def _marginal_b(rho: DensityMatrix) -> DensityMatrix:
@@ -57,9 +71,7 @@ def _check_alpha(alpha: float) -> None:
 
 def trace_power_real(rho: DensityMatrix, alpha: float) -> float:
     """Tr(rho^alpha) for real alpha > 0, from the spectrum."""
-    eigs = _clamped_eigenvalues(rho)
-    pos = eigs[eigs > 0]
-    return float(np.sum(pos ** alpha))
+    return _power_sum(_clamped_eigenvalues(rho), alpha)
 
 
 def renyi(rho: DensityMatrix, alpha: float) -> float:

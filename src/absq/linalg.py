@@ -173,8 +173,11 @@ def trace_power(rho, n: int) -> float:
     """Tr(rho^n) evaluated as sum(lambda_i^n) over the spectrum."""
     if n < 1 or int(n) != n:
         raise ValueError(f"power must be a positive integer, got {n}")
-    eigs = np.clip(_state_eigenvalues(rho), 0.0, None)
-    return float(np.sum(eigs ** int(n)))
+    return _trace_power(_state_eigenvalues(rho), int(n))
+
+
+def _trace_power(eigs: np.ndarray, n: int) -> float:
+    return float(np.sum(np.clip(eigs, 0.0, None) ** n))
 
 
 def _state_eigenvalues(rho) -> np.ndarray:

@@ -35,15 +35,24 @@ class DensityMatrix:
             raise DimensionMismatch(
                 f"prod(dims)={int(np.prod(self.dims))} != matrix dim {m.shape[0]}"
             )
+        # NaN slips through every comparison below, so reject it first
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
         asym = float(np.max(np.abs(m - m.conj().T)))
         if asym > HERMITICITY_TOL:
             raise NotHermitian(f"max |M - M^dagger| = {asym:.3e}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace = {tr:.12g}, expected 1")
-        lo = float(eigvals_hermitian(m)[-1])
-        if lo < PSD_FLOOR:
-            raise ValueError(f"negative eigenvalue {lo:.3e} below PSD floor")
+        # lambda_min >= PSD_FLOOR iff H - PSD_FLOOR I is positive definite
+        # (up to roundoff); only a failed factorization pays for the spectrum
+        shifted = (m + m.conj().T) / 2.0 - PSD_FLOOR * np.eye(m.shape[0])
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lo = float(eigvals_hermitian(m)[-1])
+            if lo < PSD_FLOOR:
+                raise ValueError(f"negative eigenvalue {lo:.3e} below PSD floor") from None
 
     @property
     def dim(self) -> int:

@@ -20,17 +20,13 @@ import numpy as np
 from .classify import is_acvenn
 from .entropy import von_neumann
 from .errors import DimensionMismatch
-from .linalg import kron, partial_trace
-from .states import DensityMatrix, bell_state
+from .states import _BELL_VECTORS, DensityMatrix
 from .tolerances import PROB_FLOOR
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 
-_EYE2 = np.eye(2, dtype=complex)
-# projectors I_A (x) |Bell><Bell|_{B1 B2} (x) I_C on the A B1 B2 C ordering
-_PROJECTORS = tuple(
-    kron(kron(_EYE2, bell_state(i).matrix), _EYE2) for i in range(4)
-)
+# Bell amplitudes as _BELL[k, b1, b2]; all real, so no conjugation is needed
+_BELL = np.array(_BELL_VECTORS, dtype=float).reshape(4, 2, 2) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -63,18 +59,26 @@ def swap_conditionals(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> list[Swap
 
     For each Bell projector P on (B1, B2): probability = Tr[(I x P x I) rho]
     and conditional = Tr_{B1 B2}[(I x P x I) rho (I x P x I)] / probability,
-    with rho = rho_AB (x) rho_BC.
+    with rho = rho_AB (x) rho_BC.  The traced sandwich equals the partial
+    inner product <Bell_k| rho |Bell_k> on (B1, B2), so all four come from
+    one contraction of the two (2, 2, 2, 2) input tensors.
     """
     _require_two_qubit(rho_ab, "rho_ab")
     _require_two_qubit(rho_bc, "rho_bc")
-    joint = kron(rho_ab.matrix, rho_bc.matrix)
+    # rho_ab[a x, b u] and rho_bc[y c, v d]: the Bell ket pairs (x y), the
+    # bra (u v); the result is indexed [k, (a c), (b d)]
+    unnormalised = np.einsum(
+        "kxy,kuv,axbu,ycvd->kacbd",
+        _BELL,
+        _BELL,
+        rho_ab.matrix.reshape(2, 2, 2, 2),
+        rho_bc.matrix.reshape(2, 2, 2, 2),
+    ).reshape(4, 4, 4)
     outcomes = []
-    for label, proj in zip(OUTCOME_LABELS, _PROJECTORS):
-        sandwiched = proj @ joint @ proj
-        prob = float(np.real(np.trace(sandwiched)))
+    for label, block in zip(OUTCOME_LABELS, unnormalised):
+        prob = float(np.real(np.trace(block)))
         if prob > PROB_FLOOR:
-            reduced = partial_trace(sandwiched, [2, 2, 2, 2], keep=[0, 3]) / prob
-            cond = DensityMatrix(reduced, (2, 2))
+            cond = DensityMatrix(block / prob, (2, 2))
         else:
             cond = None
         outcomes.append(SwapOutcome(label, prob, cond))

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from absq.channels import CHANNEL_NAMES, apply, double_apply, global_depolarize, make_channel
-from absq.errors import DimensionMismatch, OutOfRange
+from absq.channels import (
+    CHANNEL_NAMES,
+    KrausChannel,
+    apply,
+    double_apply,
+    global_depolarize,
+    make_channel,
+)
+from absq.errors import CompletenessViolation, DimensionMismatch, OutOfRange
 from absq.linalg import eigvals_hermitian
 from absq.states import DensityMatrix, isotropic, pure_schmidt, random_density
 
@@ -156,6 +163,48 @@ class TestDoubleApply:
             ).matrix
             assert abs(np.trace(out) - 1) <= 1e-12
             assert eigvals_hermitian(out)[-1] >= -1e-9
+
+
+def kraus_sum(ops, m):
+    return sum(k @ m @ k.conj().T for k in ops)
+
+
+class TestTransferTensor:
+    # the transfer-tensor kernels against sum_k K rho K^dagger written out
+
+    @pytest.mark.parametrize("name", CHANNEL_NAMES)
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_apply_matches_kraus_sum(self, name, p, rng):
+        ch = make_channel(name, p)
+        for _ in range(5):
+            rho = random_density((2,), rng)
+            expected = kraus_sum(ch.kraus_ops, rho.matrix)
+            np.testing.assert_allclose(apply(ch, rho).matrix, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", CHANNEL_NAMES)
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_double_apply_matches_kraus_sum(self, name, p, rng):
+        ch_a = make_channel(name, p)
+        ch_b = make_channel(name, 0.55)
+        ops = [np.kron(ka, kb) for ka in ch_a.kraus_ops for kb in ch_b.kraus_ops]
+        for _ in range(5):
+            rho = random_density((2, 2), rng)
+            expected = kraus_sum(ops, rho.matrix)
+            out = double_apply(ch_a, ch_b, rho).matrix
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
+
+    def test_mixed_channels_on_each_side(self, rng):
+        ch_a = make_channel("amplitude_damping", 0.3)
+        ch_b = make_channel("depolarizing", 0.7)
+        ops = [np.kron(ka, kb) for ka in ch_a.kraus_ops for kb in ch_b.kraus_ops]
+        rho = random_density((2, 2), rng)
+        np.testing.assert_allclose(
+            double_apply(ch_a, ch_b, rho).matrix, kraus_sum(ops, rho.matrix), rtol=0, atol=1e-14
+        )
+
+    def test_completeness_violation_reported(self):
+        with pytest.raises(CompletenessViolation, match="deviates from identity by 2.500e-01"):
+            KrausChannel("half", 0.0, (np.eye(2) * math.sqrt(0.75),))
 
 
 class TestGlobalDepolarize:

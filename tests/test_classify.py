@@ -212,6 +212,26 @@ def test_classification_report_fields():
     assert report.thresholds["entropy_bits"] == pytest.approx(1.0)
 
 
+def test_classification_report_matches_predicates():
+    # one spectrum per report must give exactly the per-predicate values
+    states = [random_density((d, d), seed) for d in (2, 3, 4) for seed in range(5)]
+    states += [depolarized_schmidt(0.4, p) for p in (0.0, 1 / 3, 0.9)]
+    states += [bell_state(1), DensityMatrix(np.eye(4) / 4, (2, 2))]
+    alphas = (0.5, 2.0, 3.0)
+    for rho in states:
+        report = classification_report(rho, alphas)
+        assert (report.afef, report.lambda_max) == is_afef(rho)
+        assert (report.acvenn, report.entropy_bits) == is_acvenn(rho)
+        assert (report.acre2nn, report.purity) == is_acre2nn(rho)
+        for alpha in alphas:
+            assert report.acrenn[alpha] == is_acrenn(rho, alpha)
+
+
+def test_classification_report_rejects_bad_alpha():
+    with pytest.raises(AlphaOutOfDomain):
+        classification_report(depolarized_schmidt(0.4, 0.5), alphas=(0.5, 1.0))
+
+
 def test_dimension_guards():
     with pytest.raises(DimensionMismatch):
         is_afef(random_density((2, 3), 0))

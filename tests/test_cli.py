@@ -98,6 +98,16 @@ class TestClassifyCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "spec", ["pure-schmidt:theta=nan", "iso:d=3,beta=inf", "depolarized-schmidt:theta=0.3,p=-inf"]
+    )
+    def test_non_finite_spec_exits_nonzero(self, spec, capsys):
+        code = main(["classify", "--state", spec])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: expected a finite number")
+        assert err.count("\n") == 1
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["classify"])  # missing --state
@@ -185,6 +195,34 @@ class TestSwapScanCommand:
             main(["swap-scan", "--family", "amplitude-damping", "--resolution", "4", "--out", str(path)])
             capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBadArguments:
+    # each is an argparse usage error: exit 2, nothing written
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table4", "--terms", "0"],
+            ["table2", "--points", "1"],
+            ["table2", "--points", "many"],
+            ["swap-scan", "--family", "amplitude-damping", "--resolution", "0"],
+            ["swap-scan", "--family", "global-depolarizing", "--p2", "nan"],
+        ],
+    )
+    def test_usage_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(path)])
+        assert exc.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_resolution_one_accepted(self, tmp_path, capsys):
+        path = tmp_path / "scan.csv"
+        code = main(["swap-scan", "--family", "global-depolarizing", "--resolution", "1", "--out", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        assert len(path.read_text().splitlines()) == 2
 
 
 class TestTableRowHelpers:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from absq.errors import NotNormalized, OutOfRange
-from absq.linalg import eigvals_hermitian, partial_trace, trace_power
+from absq.linalg import eigvals_hermitian, haar_unitary, partial_trace, trace_power
 from absq.states import (
     DensityMatrix,
     acin_tripartite,
@@ -16,6 +16,7 @@ from absq.states import (
     pure_schmidt,
     random_density,
 )
+from absq.tolerances import PSD_FLOOR
 
 
 def test_pure_schmidt_bell_point():
@@ -207,3 +208,33 @@ def test_density_matrix_rejects_bad_inputs():
         DensityMatrix(np.eye(4) / 2, (2, 2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex), (2,))  # negative eigenvalue
+
+
+def _with_smallest_eigenvalue(lam_min, seed=7):
+    # Haar-rotated 4x4 state with spectrum (0.5 - lam_min, 0.3, 0.2, lam_min)
+    u = haar_unitary(4, seed)
+    spectrum = np.array([0.5 - lam_min, 0.3, 0.2, lam_min])
+    return (u * spectrum) @ u.conj().T
+
+
+class TestPsdValidation:
+    def test_accepts_just_above_floor(self):
+        DensityMatrix(_with_smallest_eigenvalue(0.99 * PSD_FLOOR), (2, 2))
+
+    def test_rejects_just_below_floor(self):
+        with pytest.raises(ValueError, match="negative eigenvalue -1.010e-09 below PSD floor"):
+            DensityMatrix(_with_smallest_eigenvalue(1.01 * PSD_FLOOR), (2, 2))
+
+    def test_accepts_singular_state(self):
+        DensityMatrix(_with_smallest_eigenvalue(0.0), (2, 2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(m, (2, 2))
+
+    def test_rejects_all_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(np.full((2, 2), math.nan, dtype=complex), (2,))

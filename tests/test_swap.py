@@ -32,17 +32,20 @@ class TestSwapConditionals:
             np.testing.assert_allclose(marg.matrix, np.eye(2) / 2, atol=1e-10)
 
     def test_oracle_direct_sixteen_dim(self, rng):
-        # independent reconstruction of one outcome from the raw 16x16 kron
-        rho_ab = random_density((2, 2), rng)
-        rho_bc = random_density((2, 2), rng)
-        outcomes = swap_conditionals(rho_ab, rho_bc)
-        joint = kron(rho_ab.matrix, rho_bc.matrix)
-        proj = kron(kron(np.eye(2), bell_state(2).matrix), np.eye(2))
-        sand = proj @ joint @ proj
-        prob = np.trace(sand).real
-        cond = partial_trace(sand, [2, 2, 2, 2], keep=[0, 3]) / prob
-        assert outcomes[2].probability == pytest.approx(prob, abs=1e-12)
-        np.testing.assert_allclose(outcomes[2].conditional_state.matrix, cond, atol=1e-12)
+        # independent reconstruction of every outcome from the raw 16x16 kron:
+        # I (x) P_k (x) I sandwich, then the partial trace over (B1, B2)
+        eye = np.eye(2)
+        for _ in range(10):
+            rho_ab = random_density((2, 2), rng)
+            rho_bc = random_density((2, 2), rng)
+            joint = kron(rho_ab.matrix, rho_bc.matrix)
+            for k, o in enumerate(swap_conditionals(rho_ab, rho_bc)):
+                proj = kron(kron(eye, bell_state(k).matrix), eye)
+                sand = proj @ joint @ proj
+                prob = np.trace(sand).real
+                cond = partial_trace(sand, [2, 2, 2, 2], keep=[0, 3]) / prob
+                assert abs(o.probability - prob) <= 1e-14
+                np.testing.assert_allclose(o.conditional_state.matrix, cond, rtol=0, atol=1e-14)
 
     def test_maximally_mixed_inputs(self):
         mixed = DensityMatrix(np.eye(4) / 4, (2, 2))
