@@ -127,3 +127,15 @@ def global_depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     n = rho.dim
     out = (1.0 - p) * rho.matrix + (p / n) * np.eye(n)
     return DensityMatrix(out, rho.dims)
+
+
+def global_depolarize_spectrum(eigs: np.ndarray, p: float) -> np.ndarray:
+    """Spectrum of global_depolarize(rho, p) from the spectrum of rho.
+
+    Mixing with the identity shifts every eigenvalue alike, so the map is
+    (1 - p) eigs + p / n in the order given; no matrix is formed.
+    """
+    if p < 0 or p > 1:
+        raise OutOfRange(f"p={p} outside [0, 1]")
+    eigs = np.asarray(eigs, dtype=float)
+    return (1.0 - p) * eigs + p / eigs.size

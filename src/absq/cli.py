@@ -53,6 +53,8 @@ def parse_spec(text: str) -> tuple[str, dict]:
             raise SpecError(
                 f"expected key=value at position {pos} in {text!r}, got {field!r}"
             )
+        if key in params:
+            raise SpecError(f"repeated key {key!r} at position {pos} in {text!r}")
         try:
             number = float(value)
         except ValueError:
@@ -79,6 +81,12 @@ def _take(params: dict, spec_name: str, *keys, defaults=()):
     return [merged[k] for k in keys]
 
 
+def _integer(value: float, spec_name: str, key: str) -> int:
+    if not value.is_integer():
+        raise SpecError(f"expected an integer for {spec_name} parameter {key}, got {value!r}")
+    return int(value)
+
+
 def build_state(spec: str) -> states.DensityMatrix:
     name, params = parse_spec(spec)
     if name == "pure-schmidt":
@@ -92,7 +100,7 @@ def build_state(spec: str) -> states.DensityMatrix:
         return states.acin_two_param(lam, theta)
     if name == "iso":
         d, beta = _take(params, name, "d", "beta")
-        return states.isotropic(int(d), beta)
+        return states.isotropic(_integer(d, name, "d"), beta)
     if name == "acin3":
         vals = _take(params, name, "x0", "x1", "x2", "x3", "x4", "theta", defaults=(("theta", 0.0),))
         return states.acin_tripartite(vals[:5], vals[5])
@@ -101,7 +109,7 @@ def build_state(spec: str) -> states.DensityMatrix:
         return states.ghz_w_mix(p)
     if name == "bell":
         (index,) = _take(params, name, "index")
-        return states.bell_state(int(index))
+        return states.bell_state(_integer(index, name, "index"))
     raise SpecError(f"unknown state {name!r}")
 
 
@@ -224,17 +232,23 @@ def table2_rows(points: int = 2001):
     for channel in TABLE2_CHANNELS:
         sides_options = (2, 1) if channel == "depolarizing" else (2,)
         for sides in sides_options:
-            for crit, target, sense in (("ac", 1.0, ">="), ("af", 0.5, "<=")):
+            # AC and AF scan the same grid of the same states: solve each once
+            spectra: dict = {}
 
-                def witness(p, _channel=channel, _sides=sides, _crit=crit):
+            def spectrum(p, _channel=channel, _sides=sides, _spectra=spectra):
+                if p not in _spectra:
                     ch = channels.make_channel(_channel, p)
                     rho = channels.double_apply(ch, ch if _sides == 2 else ident, base)
-                    if _crit == "ac":
-                        return entropy.von_neumann(rho)
-                    return float(eigvals_hermitian(rho.matrix)[0])
+                    _spectra[p] = eigvals_hermitian(rho.matrix)
+                return _spectra[p]
 
+            witnesses = {
+                "ac": lambda p, _s=spectrum: entropy._entropy_bits(entropy._clamp(_s(p))),
+                "af": lambda p, _s=spectrum: float(_s(p)[0]),
+            }
+            for crit, target, sense in (("ac", 1.0, ">="), ("af", 0.5, "<=")):
                 found = sweep.intervals(
-                    witness, 0.0, 1.0, target, sense, points=points,
+                    witnesses[crit], 0.0, 1.0, target, sense, points=points,
                     name=f"{channel}/{crit}",
                 )
                 ref = TABLE2_REFERENCE[(channel, crit)]
@@ -275,15 +289,22 @@ def cmd_table2(args) -> int:
     return 0
 
 
+def _depolarized_isotropic(d: int, beta: float):
+    """lambda -> clamped spectrum of the isotropic state after global
+    depolarizing with weight lambda; the state is diagonalized once."""
+    eigs = eigvals_hermitian(states.isotropic(d, beta).matrix)
+    return lambda lam: entropy._clamp(channels.global_depolarize_spectrum(eigs, lam))
+
+
 def table3_rows():
     """Exact-entropy membership boundary of the depolarized isotropic
     family at beta = 0.8, for local dimensions 2..5."""
     rows = []
     for d, ref in TABLE3_REFERENCE.items():
-        base = states.isotropic(d, 0.8)
+        spectrum = _depolarized_isotropic(d, 0.8)
 
-        def witness(lam, _base=base):
-            return entropy.von_neumann(channels.global_depolarize(_base, lam))
+        def witness(lam, _spectrum=spectrum):
+            return entropy._entropy_bits(_spectrum(lam))
 
         lam_star = sweep.find_boundary(witness, (0.0, 1.0), math.log2(d))
         rows.append({"d": d, "beta": 0.8, "lam": lam_star, "ref": ref, "delta": abs(lam_star - ref)})
@@ -308,12 +329,18 @@ def table4_rows(terms: int = 10):
     """
     rows = []
     for d, ref in TABLE4_REFERENCE.items():
-        base = states.isotropic(d, 1.0)
+        spectrum = _depolarized_isotropic(d, 1.0)
 
-        def witness(lam, _base=base):
-            return entropy.series_estimate_flat(channels.global_depolarize(_base, lam), terms=terms)
+        def witness(lam, _spectrum=spectrum):
+            return entropy._series_flat(_spectrum(lam), terms)
 
-        lam_star = sweep.find_boundary(witness, (0.0, 1.0), math.log2(d))
+        try:
+            lam_star = sweep.find_boundary(witness, (0.0, 1.0), math.log2(d))
+        except NoSignChange:
+            raise NoSignChange(
+                f"d = {d}: the {terms}-term series surrogate does not cross "
+                f"log2({d}) = {format_number(math.log2(d))} for lambda in [0, 1]"
+            ) from None
         rows.append(
             {
                 "d": d,

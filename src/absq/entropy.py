@@ -117,9 +117,13 @@ def series_estimate_flat(rho: DensityMatrix, terms: int = 10) -> float:
     the exact formula behind the reference qudit boundary table that the
     CLI reproduces, where it is compared directly against log2(d).
     """
+    return _series_flat(_clamped_eigenvalues(rho), terms)
+
+
+def _series_flat(eigs: np.ndarray, terms: int) -> float:
+    # series_estimate_flat on an already clamped spectrum
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    eigs = _clamped_eigenvalues(rho)
     r = [float(np.sum(eigs ** n)) for n in range(1, terms + 2)]  # r[n-1] = R_n
     total = 0.0
     for k in range(1, terms + 1):

@@ -45,8 +45,13 @@ def find_boundary(f, bracket, target: float, tol: float = BISECTION_TOL) -> floa
     a, b = float(bracket[0]), float(bracket[1])
     if a > b:
         a, b = b, a
-    fa = f(a) - target
-    fb = f(b) - target
+    return _bisect(f, a, b, f(a), f(b), target, tol)
+
+
+def _bisect(f, a: float, b: float, f_a: float, f_b: float, target: float, tol: float) -> float:
+    """find_boundary on an ordered bracket whose end values are known."""
+    fa = f_a - target
+    fb = f_b - target
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -78,13 +83,25 @@ def intervals(
     """Maximal sub-intervals of [lo, hi] where f >= target (sense ">=") or
     f <= target (sense "<="), endpoints refined by bisection.
 
-    Returns an empty list when the predicate never holds on the grid.
+    f is evaluated once per grid point; bisection starts from the grid
+    values it already has, and an endpoint on the grid's edge reports its
+    grid value as its witness.  Returns an empty list when the predicate
+    never holds on the grid.
     """
     if sense not in (">=", "<="):
         raise ValueError(f'sense must be ">=" or "<=", got {sense!r}')
     xs = np.linspace(lo, hi, points)
     vals = np.array([f(x) for x in xs])
     ok = vals >= target if sense == ">=" else vals <= target
+
+    def edge(k: int, inner: int):
+        # (endpoint, witness) between grid points k (outside) and inner
+        if k < 0 or k == points:
+            return xs[inner], vals[inner]
+        a, b = sorted((k, inner), key=lambda n: (xs[n], n))
+        x = _bisect(f, float(xs[a]), float(xs[b]), vals[a], vals[b], target, tol)
+        return x, f(x)
+
     found: list[Interval] = []
     i = 0
     while i < points:
@@ -94,9 +111,9 @@ def intervals(
         j = i
         while j + 1 < points and ok[j + 1]:
             j += 1
-        left = xs[i] if i == 0 else find_boundary(f, (xs[i - 1], xs[i]), target, tol)
-        right = xs[j] if j == points - 1 else find_boundary(f, (xs[j], xs[j + 1]), target, tol)
-        found.append(Interval(float(left), float(right), name, f(left), f(right)))
+        left, w_left = edge(i - 1, i)
+        right, w_right = edge(j + 1, j)
+        found.append(Interval(float(left), float(right), name, float(w_left), float(w_right)))
         i = j + 1
     return found
 

@@ -9,6 +9,7 @@ from absq.channels import (
     apply,
     double_apply,
     global_depolarize,
+    global_depolarize_spectrum,
     make_channel,
 )
 from absq.errors import CompletenessViolation, DimensionMismatch, OutOfRange
@@ -238,3 +239,19 @@ class TestGlobalDepolarize:
     def test_range_check(self):
         with pytest.raises(OutOfRange):
             global_depolarize(pure_schmidt(0.5), -0.1)
+
+
+class TestGlobalDepolarizeSpectrum:
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_matches_eigensolve(self, p, rng):
+        pool = [isotropic(d, 0.8) for d in range(2, 7)]
+        pool += [random_density((d, d), rng) for d in (2, 3) for _ in range(3)]
+        for rho in pool:
+            mapped = global_depolarize_spectrum(eigvals_hermitian(rho.matrix), p)
+            direct = eigvals_hermitian(global_depolarize(rho, p).matrix)
+            np.testing.assert_allclose(mapped, direct, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.1])
+    def test_range_check(self, p):
+        with pytest.raises(OutOfRange):
+            global_depolarize_spectrum(np.array([1.0, 0.0, 0.0, 0.0]), p)

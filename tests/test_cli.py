@@ -1,6 +1,9 @@
 import pytest
 
-from absq.cli import SpecError, build_state, main, parse_spec, table3_rows, table4_rows
+import numpy as np
+
+from absq import channels, cli, entropy
+from absq.cli import SpecError, build_state, main, parse_spec, table2_rows, table3_rows, table4_rows
 
 
 class TestSpecGrammar:
@@ -25,6 +28,9 @@ class TestSpecGrammar:
     def test_missing_parameter(self):
         with pytest.raises(SpecError, match="needs parameters"):
             build_state("iso:d=3")
+
+    def test_integral_float_accepted_as_integer(self):
+        assert build_state("iso:d=3.0,beta=0.5").dims == (3, 3)
 
     def test_builds_every_family(self):
         for spec in (
@@ -108,6 +114,21 @@ class TestClassifyCommand:
         assert err.startswith("error: expected a finite number")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("acin:lambda=0.5,theta=0.3,lambda=0.6", "error: repeated key 'lambda' at position 26"),
+            ("iso:d=2.7,beta=0.5", "error: expected an integer for iso parameter d, got 2.7"),
+            ("bell:index=1.9", "error: expected an integer for bell parameter index, got 1.9"),
+        ],
+    )
+    def test_bad_spec_one_line_error(self, spec, message, capsys):
+        code = main(["classify", "--state", spec])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["classify"])  # missing --state
@@ -154,6 +175,17 @@ class TestTableCommands:
         assert code == 0
         for line in path.read_text().splitlines()[1:]:
             assert float(line.split(",")[5]) < 1e-3
+
+    def test_table4_without_crossing_names_the_case(self, tmp_path, capsys):
+        # with 20 terms the d = 3 surrogate peaks just below log2(3)
+        path = tmp_path / "t4.csv"
+        code = main(["table4", "--terms", "20", "--out", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: d = 3: the 20-term series surrogate does not cross log2(3)")
+        assert "lambda in [0, 1]" in err
+        assert err.count("\n") == 1
+        assert not path.exists()
 
 
 class TestSwapScanCommand:
@@ -236,3 +268,37 @@ class TestTableRowHelpers:
         rows = table4_rows()
         assert rows[0]["beta_lo"] == pytest.approx(-0.125)
         assert all(r["beta_hi"] == 1.0 for r in rows)
+
+    def test_table2_builds_each_distinct_state_once(self, monkeypatch):
+        calls = []
+        double_apply = channels.double_apply
+
+        def counted(ch_a, ch_b, rho):
+            calls.append((ch_a.name, 2 if ch_b is ch_a else 1, float(ch_a.parameter)))
+            return double_apply(ch_a, ch_b, rho)
+
+        monkeypatch.setattr(channels, "double_apply", counted)
+        table2_rows(points=7)
+        assert calls and len(calls) == len(set(calls))
+        # the AC and AF scans of one (channel, sides) share every grid state
+        for key in {(name, sides) for name, sides, _ in calls}:
+            grid = {p for name, sides, p in calls if (name, sides) == key}
+            assert set(np.linspace(0.0, 1.0, 7)) <= grid
+
+    @pytest.mark.parametrize("rows", [table3_rows, table4_rows])
+    def test_isotropic_tables_diagonalize_once_per_d(self, rows, monkeypatch):
+        shapes = []
+
+        def counting(module):
+            solve = module.eigvals_hermitian
+
+            def counted(m):
+                shapes.append(m.shape)
+                return solve(m)
+
+            monkeypatch.setattr(module, "eigvals_hermitian", counted)
+
+        for module in (cli, entropy):
+            counting(module)
+        result = rows()
+        assert shapes == [(r["d"] ** 2, r["d"] ** 2) for r in result]

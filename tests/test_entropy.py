@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from absq.entropy import (
+    _clamped_eigenvalues,
+    _series_flat,
     conditional_renyi,
     conditional_von_neumann,
     renyi,
@@ -203,3 +205,10 @@ class TestSeriesEstimateFlat:
         # the surrogate deliberately keeps the reference uniform weights,
         # under which pure states do not map to zero
         assert series_estimate_flat(pure_schmidt(0.7), 10) != pytest.approx(0.0, abs=1e-3)
+
+    def test_spectrum_level_helper_is_the_same_path(self, rng):
+        for rho in (random_density((2, 2), rng), isotropic(3, 0.6), pure_schmidt(0.7)):
+            for terms in (1, 4, 10):
+                assert _series_flat(_clamped_eigenvalues(rho), terms) == series_estimate_flat(
+                    rho, terms
+                )

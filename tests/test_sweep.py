@@ -8,7 +8,7 @@ from absq.errors import NoSignChange
 from absq.linalg import eigvals_hermitian
 from absq.states import acin_two_param, depolarized_schmidt, isotropic
 from absq.channels import double_apply, global_depolarize, make_channel
-from absq.sweep import SweepGrid, emit_csv, find_boundary, intervals, scan_2d, scan_3d
+from absq.sweep import Interval, SweepGrid, emit_csv, find_boundary, intervals, scan_2d, scan_3d
 
 
 def acin_bitflip_entropy(p):
@@ -80,6 +80,26 @@ class TestIntervals:
         assert len(found) == 1
         found = intervals(lambda x: math.cos(2 * math.pi * x), 0, 1, 0.5, ">=", points=401)
         assert len(found) == 2
+
+    def test_grid_values_are_not_reevaluated(self):
+        # one interior crossing: 51 grid values, the bisection's midpoints
+        # and the refined endpoint's witness; the bracket ends and the
+        # grid-edge endpoint reuse their grid values
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 - x * x
+
+        found = intervals(f, 0.0, 1.0, 0.5, ">=", points=51)
+        cost = len(calls)
+        xs = np.linspace(0.0, 1.0, 51)
+        calls.clear()
+        right = find_boundary(f, (xs[35], xs[36]), 0.5)
+        steps = len(calls) - 2
+        assert steps > 0
+        assert cost == 51 + steps + 1
+        assert found == [Interval(0.0, right, "", 1.0, f(right))]
 
 
 class TestScans:
