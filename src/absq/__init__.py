@@ -21,9 +21,11 @@ from .entropy import (
     renyi,
     series_estimate,
     series_estimate_flat,
+    trace_power,
     von_neumann,
 )
-from .linalg import Spectrum, eig_hermitian, eigvals_hermitian, haar_unitary, kron, partial_trace, trace_power
+from .errors import AbsqError
+from .linalg import Spectrum, eig_hermitian, eigvals_hermitian, haar_unitary, kron, partial_trace
 from .states import (
     DensityMatrix,
     acin_tripartite,
@@ -35,6 +37,6 @@ from .states import (
     pure_schmidt,
 )
 from .swap import RetrievalReport, SwapOutcome, retrieval_success, swap_conditionals
-from .sweep import Interval, SweepGrid, emit_csv, find_boundary, intervals, scan_2d, scan_3d
+from .sweep import Interval, SweepGrid, emit_csv, find_boundary, intervals, scan
 
 __version__ = "0.1.0"

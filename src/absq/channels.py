@@ -54,7 +54,7 @@ class KrausChannel:
         dim = ops[0].shape[0]
         # tracing S over (a, a') gives (sum K^dagger K) transposed
         err = float(np.max(np.abs(np.einsum("aacd->cd", s) - np.eye(dim))))
-        if err > HERMITICITY_TOL:
+        if not err <= HERMITICITY_TOL:  # NaN fails too
             raise CompletenessViolation(
                 f"sum K^dagger K deviates from identity by {err:.3e}"
             )
@@ -66,7 +66,7 @@ class KrausChannel:
 
 def make_channel(name: str, p: float) -> KrausChannel:
     """Single-qubit channel by name with parameter p in [0, 1]."""
-    if p < 0 or p > 1:
+    if not (0 <= p <= 1):
         raise OutOfRange(f"p={p} outside [0, 1]")
     sp = math.sqrt(p)
     sq = math.sqrt(1.0 - p)
@@ -120,7 +120,7 @@ def _reshuffle(m: np.ndarray) -> np.ndarray:
 
 def global_depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     """(1 - p) rho + p I / d^2 on a bipartite d x d state."""
-    if p < 0 or p > 1:
+    if not (0 <= p <= 1):
         raise OutOfRange(f"p={p} outside [0, 1]")
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DimensionMismatch(f"expected equal bipartite dims, got {rho.dims}")
@@ -135,7 +135,7 @@ def global_depolarize_spectrum(eigs: np.ndarray, p: float) -> np.ndarray:
     Mixing with the identity shifts every eigenvalue alike, so the map is
     (1 - p) eigs + p / n in the order given; no matrix is formed.
     """
-    if p < 0 or p > 1:
+    if not (0 <= p <= 1):
         raise OutOfRange(f"p={p} outside [0, 1]")
     eigs = np.asarray(eigs, dtype=float)
     return (1.0 - p) * eigs + p / eigs.size

@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .bloch import BlochBipartite, BlochTripartite, pair_tensors
-from .entropy import _check_alpha, _clamp, _entropy_bits, _power_sum
+from .entropy import check_alpha, spectrum_entropy, spectrum_power
 from .errors import DimensionMismatch, SumMismatch
-from .linalg import _trace_power, eigvals_hermitian
+from .linalg import eigvals_hermitian
 from .states import DensityMatrix
 from .tolerances import CLASS_MARGIN
 
@@ -36,12 +36,12 @@ def _afef(eigs: np.ndarray, d: int) -> tuple[bool, float]:
 
 
 def _acvenn(eigs: np.ndarray, d: int) -> tuple[bool, float]:
-    s = _entropy_bits(_clamp(eigs))
+    s = spectrum_entropy(eigs)
     return s >= math.log2(d) - CLASS_MARGIN, s
 
 
 def _acrenn(eigs: np.ndarray, d: int, alpha: float) -> tuple[bool, float]:
-    witness = _power_sum(_clamp(eigs), alpha)
+    witness = spectrum_power(eigs, alpha)
     bound = d ** (1.0 - alpha)
     if alpha < 1:
         return witness >= bound - CLASS_MARGIN, witness
@@ -49,7 +49,7 @@ def _acrenn(eigs: np.ndarray, d: int, alpha: float) -> tuple[bool, float]:
 
 
 def _acre2nn(eigs: np.ndarray, d: int) -> tuple[bool, float]:
-    purity = _trace_power(eigs, 2)
+    purity = spectrum_power(eigs, 2)
     return purity <= 1.0 / d + CLASS_MARGIN, purity
 
 
@@ -71,7 +71,7 @@ def is_acrenn(rho: DensityMatrix, alpha: float) -> tuple[bool, float]:
     Witness is Tr(rho^alpha); membership means witness >= d^(1-alpha) for
     alpha < 1 and witness <= d^(1-alpha) for alpha > 1.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     d = _local_dim(rho)
     return _acrenn(eigvals_hermitian(rho.matrix), d, alpha)
 
@@ -154,7 +154,7 @@ def classification_report(rho: DensityMatrix, alphas=(0.5, 2.0)) -> Classificati
         },
     )
     for alpha in alphas:
-        _check_alpha(alpha)
+        check_alpha(alpha)
         report.acrenn[alpha] = _acrenn(eigs, d, alpha)
         report.thresholds[f"trace_power[{alpha:g}]"] = d ** (1.0 - alpha)
     return report

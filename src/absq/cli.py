@@ -15,15 +15,7 @@ import sys
 import numpy as np
 
 from . import bloch, channels, classify, entropy, states, swap, sweep
-from .errors import (
-    AlphaOutOfDomain,
-    DimensionMismatch,
-    NoSignChange,
-    NotHermitian,
-    NotNormalized,
-    OutOfRange,
-    SumMismatch,
-)
+from .errors import AbsqError, NoSignChange
 from .linalg import eigvals_hermitian
 from .sweep import format_number, write_csv_rows
 
@@ -31,7 +23,7 @@ USAGE_ERROR = 2
 COMPUTATION_ERROR = 1
 
 
-class SpecError(ValueError):
+class SpecError(AbsqError):
     pass
 
 
@@ -243,7 +235,7 @@ def table2_rows(points: int = 2001):
                 return _spectra[p]
 
             witnesses = {
-                "ac": lambda p, _s=spectrum: entropy._entropy_bits(entropy._clamp(_s(p))),
+                "ac": lambda p, _s=spectrum: entropy.spectrum_entropy(_s(p)),
                 "af": lambda p, _s=spectrum: float(_s(p)[0]),
             }
             for crit, target, sense in (("ac", 1.0, ">="), ("af", 0.5, "<=")):
@@ -290,10 +282,10 @@ def cmd_table2(args) -> int:
 
 
 def _depolarized_isotropic(d: int, beta: float):
-    """lambda -> clamped spectrum of the isotropic state after global
-    depolarizing with weight lambda; the state is diagonalized once."""
+    """lambda -> spectrum of the isotropic state after global depolarizing
+    with weight lambda; the state is diagonalized once."""
     eigs = eigvals_hermitian(states.isotropic(d, beta).matrix)
-    return lambda lam: entropy._clamp(channels.global_depolarize_spectrum(eigs, lam))
+    return lambda lam: channels.global_depolarize_spectrum(eigs, lam)
 
 
 def table3_rows():
@@ -304,7 +296,7 @@ def table3_rows():
         spectrum = _depolarized_isotropic(d, 0.8)
 
         def witness(lam, _spectrum=spectrum):
-            return entropy._entropy_bits(_spectrum(lam))
+            return entropy.spectrum_entropy(_spectrum(lam))
 
         lam_star = sweep.find_boundary(witness, (0.0, 1.0), math.log2(d))
         rows.append({"d": d, "beta": 0.8, "lam": lam_star, "ref": ref, "delta": abs(lam_star - ref)})
@@ -332,7 +324,7 @@ def table4_rows(terms: int = 10):
         spectrum = _depolarized_isotropic(d, 1.0)
 
         def witness(lam, _spectrum=spectrum):
-            return entropy._series_flat(_spectrum(lam), terms)
+            return entropy.spectrum_series_flat(_spectrum(lam), terms)
 
         try:
             lam_star = sweep.find_boundary(witness, (0.0, 1.0), math.log2(d))
@@ -363,23 +355,6 @@ def cmd_table4(args) -> int:
     write_csv_rows(args.out, ["d", "beta_lo", "beta_hi", "lambda_lo", "ref", "delta"], out)
     print(f"wrote {len(out)} rows to {args.out}")
     return 0
-
-
-def swap_scan_point(ab, bc):
-    """(S_ab, S_bc, four conditional entropies, success flag) for one pair.
-
-    ab and bc are (state, ACVENN verdict, entropy) triples, so that a state
-    shared by many grid points is classified once.
-    """
-    rho_ab, in_ab, s_ab = ab
-    rho_bc, in_bc, s_bc = bc
-    outcomes = swap.swap_conditionals(rho_ab, rho_bc)
-    conds = [
-        entropy.von_neumann(o.conditional_state) if o.conditional_state is not None else math.nan
-        for o in outcomes
-    ]
-    success = in_ab and in_bc and any(c < 1.0 - 1e-12 for c in conds if not math.isnan(c))
-    return s_ab, s_bc, conds, success
 
 
 def _classified(rho):
@@ -423,9 +398,10 @@ def cmd_swap_scan(args) -> int:
         )
         return USAGE_ERROR
     rows = []
-    for (x1, x2), ab in firsts:
-        for x3, bc in seconds:
-            s_ab, s_bc, conds, success = swap_scan_point(ab, bc)
+    for (x1, x2), (rho_ab, in_ab, s_ab) in firsts:
+        for x3, (rho_bc, in_bc, s_bc) in seconds:
+            success, _, verdicts = swap.retrieval_branches(rho_ab, rho_bc, in_ab, in_bc)
+            conds = [v[1] if v is not None else math.nan for v in verdicts]
             rows.append([x1, x2, x3, s_ab, s_bc, *conds, str(success).lower()])
     write_csv_rows(args.out, header, rows)
     successes = sum(1 for r in rows if r[-1] == "true")
@@ -508,16 +484,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        SpecError,
-        OutOfRange,
-        NotNormalized,
-        AlphaOutOfDomain,
-        DimensionMismatch,
-        NotHermitian,
-        SumMismatch,
-        NoSignChange,
-    ) as exc:
+    except AbsqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTATION_ERROR
     except OSError as exc:

@@ -1,5 +1,6 @@
-"""Entropy functionals: von Neumann, Renyi, their conditional versions, and
-truncated trace-power series estimators.
+"""Entropy functionals: von Neumann, Renyi, their conditional versions,
+trace powers and truncated trace-power series estimators, all read off the
+spectrum through one set of spectrum-level functionals.
 
 All values are returned in bits (log base 2) except series_estimate_flat,
 which reproduces a reference surrogate and is returned raw; see its
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import AlphaOutOfDomain, DimensionMismatch
+from .errors import AlphaOutOfDomain, DimensionMismatch, InvalidState, OutOfRange
 from .linalg import eigvals_hermitian
 from .states import DensityMatrix
 from .tolerances import EIG_CLAMP_FLOOR
@@ -26,29 +27,46 @@ def _clamp(eigs: np.ndarray) -> np.ndarray:
     rejected here rather than silently fixed.
     """
     if eigs[-1] < EIG_CLAMP_FLOOR:
-        raise ValueError(f"eigenvalue {eigs[-1]:.3e} below the PSD clamp floor")
+        raise InvalidState(f"eigenvalue {eigs[-1]:.3e} below the PSD clamp floor")
     return np.where(eigs < 0, 0.0, eigs)
 
 
-def _clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:
-    return _clamp(eigvals_hermitian(rho.matrix))
+# Spectrum-level functionals: eigs is the non-increasing spectrum of a
+# state, as eigvals_hermitian returns it, and each clamps it itself.  The
+# class predicates and the table witnesses call them on spectra they
+# already hold.
 
 
-def _entropy_bits(eigs: np.ndarray) -> float:
-    # eigs already clamped
+def spectrum_entropy(eigs: np.ndarray) -> float:
+    """-sum(lambda log2 lambda) over a spectrum, with 0 log 0 = 0."""
+    eigs = _clamp(eigs)
     pos = eigs[eigs > 0]
     return float(-np.sum(pos * np.log2(pos)))
 
 
-def _power_sum(eigs: np.ndarray, alpha: float) -> float:
-    # eigs already clamped
-    pos = eigs[eigs > 0]
-    return float(np.sum(pos ** alpha))
+def spectrum_power(eigs: np.ndarray, alpha: float) -> float:
+    """sum(lambda^alpha) over a spectrum, for real alpha > 0."""
+    return float(np.sum(_clamp(eigs) ** alpha))
+
+
+def spectrum_series_flat(eigs: np.ndarray, terms: int) -> float:
+    """series_estimate_flat read off a spectrum."""
+    if terms < 1:
+        raise OutOfRange(f"terms must be >= 1, got {terms}")
+    eigs = _clamp(eigs)
+    r = [float(np.sum(eigs ** n)) for n in range(1, terms + 2)]  # r[n-1] = R_n
+    total = 0.0
+    for k in range(1, terms + 1):
+        g = 1.0 + (-1.0) ** k * r[k]
+        for m in range(1, k):
+            g += (-1.0) ** m * k * r[m]
+        total += g / k
+    return total
 
 
 def von_neumann(rho: DensityMatrix) -> float:
     """S(rho) = -sum(lambda log2 lambda), with 0 log 0 = 0."""
-    return _entropy_bits(_clamped_eigenvalues(rho))
+    return spectrum_entropy(eigvals_hermitian(rho.matrix))
 
 
 def _marginal_b(rho: DensityMatrix) -> DensityMatrix:
@@ -62,27 +80,31 @@ def conditional_von_neumann(rho: DensityMatrix) -> float:
     return von_neumann(rho) - von_neumann(_marginal_b(rho))
 
 
-def _check_alpha(alpha: float) -> None:
-    if alpha <= 0 or alpha == 1:
+def check_alpha(alpha: float) -> None:
+    """Reject a Renyi order outside (0, 1) | (1, inf), NaN and inf included."""
+    if not (0 < alpha < math.inf) or alpha == 1:
         raise AlphaOutOfDomain(
             f"alpha={alpha} outside (0,1)|(1,inf); use von_neumann for the alpha->1 limit"
         )
 
 
-def trace_power_real(rho: DensityMatrix, alpha: float) -> float:
-    """Tr(rho^alpha) for real alpha > 0, from the spectrum."""
-    return _power_sum(_clamped_eigenvalues(rho), alpha)
+def trace_power(rho: DensityMatrix, alpha: float) -> float:
+    """Tr(rho^alpha) for real alpha > 0 (integer powers included), from the
+    spectrum."""
+    if not (0 < alpha < math.inf):
+        raise OutOfRange(f"power must be a positive finite number, got {alpha}")
+    return spectrum_power(eigvals_hermitian(rho.matrix), alpha)
 
 
 def renyi(rho: DensityMatrix, alpha: float) -> float:
     """Renyi entropy of order alpha: log2(Tr rho^alpha) / (1 - alpha)."""
-    _check_alpha(alpha)
-    return math.log2(trace_power_real(rho, alpha)) / (1.0 - alpha)
+    check_alpha(alpha)
+    return math.log2(trace_power(rho, alpha)) / (1.0 - alpha)
 
 
 def conditional_renyi(rho: DensityMatrix, alpha: float) -> float:
     """S_alpha(A|B) = S_alpha(rho_AB) - S_alpha(rho_B)."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return renyi(rho, alpha) - renyi(_marginal_b(rho), alpha)
 
 
@@ -96,8 +118,8 @@ def series_estimate(rho: DensityMatrix, terms: int = 10) -> float:
     result comparable against log2(d) thresholds.
     """
     if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    eigs = _clamped_eigenvalues(rho)
+        raise OutOfRange(f"terms must be >= 1, got {terms}")
+    eigs = _clamp(eigvals_hermitian(rho.matrix))
     total = 0.0
     for k in range(1, terms + 1):
         total += float(np.sum(eigs * (1.0 - eigs) ** k)) / k
@@ -117,18 +139,4 @@ def series_estimate_flat(rho: DensityMatrix, terms: int = 10) -> float:
     the exact formula behind the reference qudit boundary table that the
     CLI reproduces, where it is compared directly against log2(d).
     """
-    return _series_flat(_clamped_eigenvalues(rho), terms)
-
-
-def _series_flat(eigs: np.ndarray, terms: int) -> float:
-    # series_estimate_flat on an already clamped spectrum
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    r = [float(np.sum(eigs ** n)) for n in range(1, terms + 2)]  # r[n-1] = R_n
-    total = 0.0
-    for k in range(1, terms + 1):
-        g = 1.0 + (-1.0) ** k * r[k]
-        for m in range(1, k):
-            g += (-1.0) ** m * k * r[m]
-        total += g / k
-    return total
+    return spectrum_series_flat(eigvals_hermitian(rho.matrix), terms)

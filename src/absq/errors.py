@@ -1,33 +1,46 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every absq exception derives from AbsqError, which is a ValueError, so a
+caller can catch the package's failures in one clause.
+"""
 
 
-class NotHermitian(ValueError):
+class AbsqError(ValueError):
+    """Base of every exception absq raises on purpose."""
+
+
+class NotHermitian(AbsqError):
     """Matrix fails the Hermiticity check."""
 
 
-class DimensionMismatch(ValueError):
+class InvalidState(AbsqError):
+    """Matrix is not a density matrix: a non-finite entry, a trace other
+    than one, or an eigenvalue below the PSD floor."""
+
+
+class DimensionMismatch(AbsqError):
     """Operands have incompatible shapes or subsystem dimensions."""
 
 
-class OutOfRange(ValueError):
+class OutOfRange(AbsqError):
     """Parameter outside its admissible interval."""
 
 
-class NotNormalized(ValueError):
+class NotNormalized(AbsqError):
     """State-vector amplitudes do not square-sum to one."""
 
 
-class CompletenessViolation(RuntimeError):
+class CompletenessViolation(AbsqError, RuntimeError):
     """Kraus operators do not resolve the identity."""
 
 
-class AlphaOutOfDomain(ValueError):
+class AlphaOutOfDomain(AbsqError):
     """Renyi order outside (0, 1) | (1, inf)."""
 
 
-class SumMismatch(ValueError):
+class SumMismatch(AbsqError):
     """Vectors compared under majorization have different totals."""
 
 
-class NoSignChange(ValueError):
+class NoSignChange(AbsqError):
     """Bisection bracket does not straddle the target."""

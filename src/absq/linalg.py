@@ -169,23 +169,6 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> np.
     return reduced.reshape(d_keep, d_keep)
 
 
-def trace_power(rho, n: int) -> float:
-    """Tr(rho^n) evaluated as sum(lambda_i^n) over the spectrum."""
-    if n < 1 or int(n) != n:
-        raise ValueError(f"power must be a positive integer, got {n}")
-    return _trace_power(_state_eigenvalues(rho), int(n))
-
-
-def _trace_power(eigs: np.ndarray, n: int) -> float:
-    return float(np.sum(np.clip(eigs, 0.0, None) ** n))
-
-
-def _state_eigenvalues(rho) -> np.ndarray:
-    # accepts a DensityMatrix or a raw Hermitian matrix
-    m = getattr(rho, "matrix", rho)
-    return eigvals_hermitian(m)
-
-
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian matrix with the
     R diagonal phase-corrected.  Deterministic for a given seed; seed may

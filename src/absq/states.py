@@ -12,9 +12,9 @@ import warnings
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotNormalized, OutOfRange
-from .linalg import eigvals_hermitian, kron, partial_trace
-from .tolerances import HERMITICITY_TOL, PSD_FLOOR, TRACE_TOL
+from .errors import DimensionMismatch, InvalidState, NotNormalized, OutOfRange
+from .linalg import _check_hermitian, eigvals_hermitian, kron, partial_trace
+from .tolerances import PSD_FLOOR, TRACE_TOL
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,11 @@ class DensityMatrix:
             )
         # NaN slips through every comparison below, so reject it first
         if not np.isfinite(m).all():
-            raise ValueError("density matrix has a non-finite entry")
-        asym = float(np.max(np.abs(m - m.conj().T)))
-        if asym > HERMITICITY_TOL:
-            raise NotHermitian(f"max |M - M^dagger| = {asym:.3e}")
+            raise InvalidState("density matrix has a non-finite entry")
+        _check_hermitian(m)
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace = {tr:.12g}, expected 1")
+            raise InvalidState(f"trace = {tr:.12g}, expected 1")
         # lambda_min >= PSD_FLOOR iff H - PSD_FLOOR I is positive definite
         # (up to roundoff); only a failed factorization pays for the spectrum
         shifted = (m + m.conj().T) / 2.0 - PSD_FLOOR * np.eye(m.shape[0])
@@ -52,7 +50,7 @@ class DensityMatrix:
         except np.linalg.LinAlgError:
             lo = float(eigvals_hermitian(m)[-1])
             if lo < PSD_FLOOR:
-                raise ValueError(f"negative eigenvalue {lo:.3e} below PSD floor") from None
+                raise InvalidState(f"negative eigenvalue {lo:.3e} below PSD floor") from None
 
     @property
     def dim(self) -> int:
@@ -75,7 +73,7 @@ def pure_schmidt(theta: float) -> DensityMatrix:
     theta at 0 or pi/2 is accepted but yields a product state, which is
     flagged with a warning.
     """
-    if theta < 0 or theta > math.pi / 2:
+    if not (0 <= theta <= math.pi / 2):
         raise OutOfRange(f"theta={theta} outside [0, pi/2]")
     if theta in (0.0, math.pi / 2):
         warnings.warn("theta at an endpoint gives a product (unentangled) state")
@@ -94,7 +92,7 @@ def depolarized_schmidt(theta: float, p: float) -> DensityMatrix:
     """
     from .channels import global_depolarize
 
-    if p < 0 or p > 1:
+    if not (0 <= p <= 1):
         raise OutOfRange(f"p={p} outside [0, 1]")
     return global_depolarize(pure_schmidt(theta), 1.0 - p)
 
@@ -128,10 +126,10 @@ def isotropic(d: int, beta: float) -> DensityMatrix:
     Eigenvalues: (1 + beta (d^2 - 1)) / d^2 once and (1 - beta) / d^2 with
     multiplicity d^2 - 1.
     """
-    if d < 2:
+    if not (d >= 2):
         raise OutOfRange(f"d={d} must be >= 2")
     lo = -1.0 / (d * d - 1)
-    if beta < lo - 1e-12 or beta > 1 + 1e-12:
+    if not (lo - 1e-12 <= beta <= 1 + 1e-12):
         raise OutOfRange(f"beta={beta} outside [{lo}, 1]")
     m = beta * _projector(max_entangled(d)) + (1.0 - beta) * np.eye(d * d) / (d * d)
     return DensityMatrix(m, (d, d))
@@ -147,7 +145,7 @@ def acin_tripartite(x, theta: float) -> DensityMatrix:
     x = np.asarray(x, dtype=float)
     if x.shape != (5,):
         raise DimensionMismatch(f"expected 5 amplitudes, got shape {x.shape}")
-    if theta < 0 or theta > math.pi:
+    if not (0 <= theta <= math.pi):
         raise OutOfRange(f"theta={theta} outside [0, pi]")
     norm2 = float(np.sum(x * x))
     if abs(norm2 - 1.0) > 1e-10:
@@ -163,7 +161,7 @@ def acin_tripartite(x, theta: float) -> DensityMatrix:
 
 def ghz_w_mix(p: float) -> DensityMatrix:
     """Mixture p |GHZ><GHZ| + (1 - p) |W><W| on three qubits."""
-    if p < 0 or p > 1:
+    if not (0 <= p <= 1):
         raise OutOfRange(f"p={p} outside [0, 1]")
     ghz = np.zeros(8, dtype=complex)
     ghz[0] = ghz[7] = 1.0 / math.sqrt(2)

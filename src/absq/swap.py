@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import is_acvenn
-from .entropy import von_neumann
 from .errors import DimensionMismatch
 from .states import _BELL_VECTORS, DensityMatrix
 from .tolerances import PROB_FLOOR
@@ -85,24 +84,39 @@ def swap_conditionals(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> list[Swap
     return outcomes
 
 
+def retrieval_branches(
+    rho_ab: DensityMatrix, rho_bc: DensityMatrix, in_ab: bool, in_bc: bool
+) -> tuple[bool, list[SwapOutcome], tuple]:
+    """The retrieval rule, given the is_acvenn verdicts of the two inputs:
+    success when both are members and the conditional state of some Bell
+    branch is not.
+
+    Also returns the four outcomes and the is_acvenn verdict (member,
+    entropy) of each branch, None for a branch below the probability floor.
+    """
+    outcomes = swap_conditionals(rho_ab, rho_bc)
+    verdicts = tuple(
+        is_acvenn(o.conditional_state) if o.conditional_state is not None else None
+        for o in outcomes
+    )
+    success = in_ab and in_bc and any(v is not None and not v[0] for v in verdicts)
+    return success, outcomes, verdicts
+
+
 def retrieval_success(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> tuple[bool, RetrievalReport]:
     """Probabilistic retrieval out of the absolute regime.
 
     Succeeds when both inputs are inside the absolute conditional-entropy
-    class (S >= 1) yet some Bell branch leaves the outer pair strictly
-    outside it (S < 1).
+    class (S >= 1) yet some Bell branch leaves the outer pair outside it;
+    see retrieval_branches.
     """
     in_ab, s_ab = is_acvenn(rho_ab)
     in_bc, s_bc = is_acvenn(rho_bc)
     if not (in_ab and in_bc):
         report = RetrievalReport((s_ab, s_bc), (), (), "input not in the absolute class")
         return False, report
-    outcomes = swap_conditionals(rho_ab, rho_bc)
-    entropies = tuple(
-        von_neumann(o.conditional_state) if o.conditional_state is not None else None
-        for o in outcomes
-    )
-    success = any(s is not None and s < 1.0 - 1e-12 for s in entropies)
+    success, outcomes, verdicts = retrieval_branches(rho_ab, rho_bc, in_ab, in_bc)
+    entropies = tuple(v[1] if v is not None else None for v in verdicts)
     reason = (
         "some conditional state left the absolute class"
         if success

@@ -8,10 +8,11 @@ which removes grid aliasing from the reported endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
-from .errors import NoSignChange
+from .errors import NoSignChange, OutOfRange
 from .tolerances import BISECTION_TOL
 
 
@@ -89,7 +90,7 @@ def intervals(
     never holds on the grid.
     """
     if sense not in (">=", "<="):
-        raise ValueError(f'sense must be ">=" or "<=", got {sense!r}')
+        raise OutOfRange(f'sense must be ">=" or "<=", got {sense!r}')
     xs = np.linspace(lo, hi, points)
     vals = np.array([f(x) for x in xs])
     ok = vals >= target if sense == ">=" else vals <= target
@@ -122,25 +123,17 @@ def _as_axis(axis) -> tuple[str, np.ndarray]:
     name, values = axis
     values = np.asarray(values, dtype=float)
     if values.size == 0:
-        raise ValueError(f"axis {name!r} is empty")
+        raise OutOfRange(f"axis {name!r} is empty")
     return str(name), values
 
 
-def scan_2d(f, axis1, axis2) -> SweepGrid:
-    """Evaluate f(x1, x2) on the product grid, axis1 outermost."""
-    n1, v1 = _as_axis(axis1)
-    n2, v2 = _as_axis(axis2)
-    values = np.array([[f(x, y) for y in v2] for x in v1])
-    return SweepGrid(((n1, v1), (n2, v2)), values)
-
-
-def scan_3d(f, axis1, axis2, axis3) -> SweepGrid:
-    """Evaluate f(x1, x2, x3) on the product grid, axis1 outermost."""
-    n1, v1 = _as_axis(axis1)
-    n2, v2 = _as_axis(axis2)
-    n3, v3 = _as_axis(axis3)
-    values = np.array([[[f(x, y, z) for z in v3] for y in v2] for x in v1])
-    return SweepGrid(((n1, v1), (n2, v2), (n3, v3)), values)
+def scan(f, *axes) -> SweepGrid:
+    """Evaluate f(x1, x2, ...) on the product grid of the (name, values)
+    axes, first axis outermost."""
+    axes = tuple(_as_axis(axis) for axis in axes)
+    grids = [values for _, values in axes]
+    values = np.array([f(*point) for point in itertools.product(*grids)])
+    return SweepGrid(axes, values.reshape([g.size for g in grids]))
 
 
 def format_number(x: float) -> str:

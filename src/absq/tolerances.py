@@ -13,10 +13,6 @@ PSD_FLOOR = -1e-9
 # Unit-trace check for density matrices.
 TRACE_TOL = 1e-10
 
-# Spectral decomposition: reconstruction V diag(w) V^dagger must match the
-# input to this accuracy.
-RECONSTRUCTION_TOL = 1e-8
-
 # Jacobi sweeps stop once the off-diagonal Frobenius norm drops below this.
 JACOBI_OFFDIAG_TOL = 1e-12
 

@@ -32,9 +32,10 @@ from absq.entropy import (
     conditional_von_neumann,
     renyi,
     series_estimate_flat,
+    trace_power,
     von_neumann,
 )
-from absq.linalg import eigvals_hermitian, haar_unitary, kron, trace_power
+from absq.linalg import eigvals_hermitian, haar_unitary, kron
 from absq.states import (
     DensityMatrix,
     acin_tripartite,

@@ -11,8 +11,9 @@ from absq.bloch import (
     reconstruct_bipartite,
     reconstruct_tripartite,
 )
+from absq.entropy import trace_power
 from absq.errors import DimensionMismatch, OutOfRange
-from absq.linalg import kron, partial_trace, trace_power
+from absq.linalg import kron, partial_trace
 from absq.states import DensityMatrix, bell_state, ghz_w_mix, random_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -70,6 +70,11 @@ class TestMakeChannel:
         with pytest.raises(OutOfRange):
             make_channel("nonsense", 0.5)
 
+    @pytest.mark.parametrize("name", CHANNEL_NAMES)
+    def test_rejects_nan(self, name):
+        with pytest.raises(OutOfRange):
+            make_channel(name, math.nan)
+
 
 class TestApply:
     def test_flip_p0_identity(self, rng):
@@ -207,6 +212,10 @@ class TestTransferTensor:
         with pytest.raises(CompletenessViolation, match="deviates from identity by 2.500e-01"):
             KrausChannel("half", 0.0, (np.eye(2) * math.sqrt(0.75),))
 
+    def test_non_finite_kraus_rejected(self):
+        with pytest.raises(CompletenessViolation):
+            KrausChannel("nan", 0.0, (np.full((2, 2), math.nan),))
+
 
 class TestGlobalDepolarize:
     def test_pure_schmidt_family(self):
@@ -240,6 +249,10 @@ class TestGlobalDepolarize:
         with pytest.raises(OutOfRange):
             global_depolarize(pure_schmidt(0.5), -0.1)
 
+    def test_rejects_nan(self):
+        with pytest.raises(OutOfRange):
+            global_depolarize(pure_schmidt(0.5), math.nan)
+
 
 class TestGlobalDepolarizeSpectrum:
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
@@ -251,7 +264,7 @@ class TestGlobalDepolarizeSpectrum:
             direct = eigvals_hermitian(global_depolarize(rho, p).matrix)
             np.testing.assert_allclose(mapped, direct, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("p", [-0.1, 1.1])
+    @pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
     def test_range_check(self, p):
         with pytest.raises(OutOfRange):
             global_depolarize_spectrum(np.array([1.0, 0.0, 0.0, 0.0]), p)

@@ -2,7 +2,7 @@ import pytest
 
 import numpy as np
 
-from absq import channels, cli, entropy
+from absq import channels, cli, entropy, errors, states
 from absq.cli import SpecError, build_state, main, parse_spec, table2_rows, table3_rows, table4_rows
 
 
@@ -133,6 +133,37 @@ class TestClassifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["classify"])  # missing --state
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0.5,nan"])
+    def test_non_finite_alpha_one_line_error(self, alpha, capsys):
+        code = main(["classify", "--state", "bell:index=0", "--alpha", alpha])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: alpha=")
+        assert err.count("\n") == 1
+
+
+class TestErrorHandling:
+    def test_every_exception_is_an_absq_value_error(self):
+        raised = [
+            obj for obj in vars(errors).values()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+        ]
+        for cls in raised + [SpecError]:
+            assert issubclass(cls, errors.AbsqError)
+            assert issubclass(cls, ValueError)
+
+    def test_invalid_state_one_line_error(self, monkeypatch, tmp_path, capsys):
+        def bad_rows():
+            return states.DensityMatrix(np.eye(4) / 2, (2, 2))
+
+        monkeypatch.setattr(cli, "table3_rows", bad_rows)
+        code = main(["table3", "--out", str(tmp_path / "t3.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: trace = 2")
+        assert err.count("\n") == 1
 
 
 class TestTableCommands:

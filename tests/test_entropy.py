@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from absq.entropy import (
-    _clamped_eigenvalues,
-    _series_flat,
     conditional_renyi,
     conditional_von_neumann,
     renyi,
     series_estimate,
     series_estimate_flat,
+    spectrum_series_flat,
+    trace_power,
     von_neumann,
 )
-from absq.errors import AlphaOutOfDomain
-from absq.linalg import haar_unitary, trace_power
+from absq.errors import AlphaOutOfDomain, OutOfRange
+from absq.linalg import eigvals_hermitian, haar_unitary
 from absq.states import (
     DensityMatrix,
     bell_state,
@@ -89,6 +89,14 @@ class TestRenyi:
         for bad in (0.0, -1.0, 1.0):
             with pytest.raises(AlphaOutOfDomain):
                 renyi(rho, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_alpha(self, bad):
+        rho = pure_schmidt(0.4)
+        with pytest.raises(AlphaOutOfDomain):
+            renyi(rho, bad)
+        with pytest.raises(OutOfRange):
+            trace_power(rho, bad)
 
     def test_unitary_invariance(self, rng):
         rho = random_density((2, 2), rng)
@@ -209,6 +217,6 @@ class TestSeriesEstimateFlat:
     def test_spectrum_level_helper_is_the_same_path(self, rng):
         for rho in (random_density((2, 2), rng), isotropic(3, 0.6), pure_schmidt(0.7)):
             for terms in (1, 4, 10):
-                assert _series_flat(_clamped_eigenvalues(rho), terms) == series_estimate_flat(
+                assert spectrum_series_flat(eigvals_hermitian(rho.matrix), terms) == series_estimate_flat(
                     rho, terms
                 )

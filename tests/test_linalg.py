@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from absq.entropy import trace_power
 from absq.errors import DimensionMismatch, NotHermitian
 from absq.linalg import (
     eig_hermitian,
@@ -10,7 +11,6 @@ from absq.linalg import (
     haar_unitary,
     kron,
     partial_trace,
-    trace_power,
 )
 from absq.states import DensityMatrix, bell_state, ghz_w_mix, pure_schmidt, random_density
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from absq.errors import NotNormalized, OutOfRange
-from absq.linalg import eigvals_hermitian, haar_unitary, partial_trace, trace_power
+from absq.entropy import trace_power
+from absq.errors import InvalidState, NotNormalized, OutOfRange
+from absq.linalg import eigvals_hermitian, haar_unitary, partial_trace
 from absq.states import (
     DensityMatrix,
     acin_tripartite,
@@ -201,6 +202,36 @@ def test_factory_outputs_validate(rng):
         assert abs(np.trace(m) - 1) < 1e-10
         assert np.max(np.abs(m - m.conj().T)) < 1e-10
         assert eigvals_hermitian(m)[-1] >= -1e-9
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: pure_schmidt(math.nan),
+        lambda: depolarized_schmidt(0.3, math.nan),
+        lambda: isotropic(3, math.nan),
+        lambda: ghz_w_mix(math.nan),
+        lambda: acin_tripartite([1, 0, 0, 0, 0], math.nan),
+    ],
+    ids=["pure_schmidt", "depolarized_schmidt", "isotropic", "ghz_w_mix", "acin_tripartite"],
+)
+def test_factories_reject_nan(factory):
+    with pytest.raises(OutOfRange):
+        factory()
+
+
+@pytest.mark.parametrize(
+    "matrix, dims",
+    [
+        (np.eye(4) / 2, (2, 2)),  # trace 2
+        (np.diag([1.5, -0.5]), (2,)),  # negative eigenvalue
+        (np.full((2, 2), math.nan), (2,)),  # non-finite
+    ],
+    ids=["trace", "psd", "non_finite"],
+)
+def test_density_matrix_failures_are_invalid_state(matrix, dims):
+    with pytest.raises(InvalidState):
+        DensityMatrix(matrix.astype(complex), dims)
 
 
 def test_density_matrix_rejects_bad_inputs():

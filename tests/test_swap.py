@@ -1,14 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from absq.channels import double_apply, make_channel
-from absq.entropy import von_neumann
+from absq.entropy import trace_power, von_neumann
 from absq.errors import DimensionMismatch
-from absq.linalg import kron, partial_trace, trace_power
+from absq.linalg import kron, partial_trace
 from absq.states import DensityMatrix, bell_state, depolarized_schmidt, pure_schmidt, random_density
 from absq.swap import OUTCOME_LABELS, retrieval_success, swap_conditionals
+from absq.sweep import format_number
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def amp_damped(theta, p1, p2):
@@ -111,3 +115,40 @@ class TestRetrievalSuccess:
         rho = depolarized_schmidt(0.8, 0.5)
         ok, report = retrieval_success(rho, rho)
         assert sum(o.probability for o in report.outcomes) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestRetrievalMatchesSwapScan:
+    """retrieval_success and the swap-scan command apply one predicate:
+    every row of the r = 4 goldens, rebuilt from its grid coordinates,
+    gets the row's success flag from the library."""
+
+    def _check(self, golden, points):
+        rows = [line.split(",") for line in (GOLDEN / golden).read_text().splitlines()[1:]]
+        assert len(rows) == len(points)
+        for row, (coords, rho_ab, rho_bc) in zip(rows, points):
+            assert row[:3] == [format_number(x) for x in coords]
+            ok, _ = retrieval_success(rho_ab, rho_bc)
+            assert ok == (row[-1] == "true"), row
+
+    def test_global_depolarizing(self):
+        # grid and fixed --p2 of `absq swap-scan --family global-depolarizing`
+        p1s = np.linspace(0.0, 1.0, 4)
+        thetas = np.linspace(0.05, math.pi / 2 - 0.05, 4)
+        points = [
+            ((p1, th1, th2), depolarized_schmidt(th1, p1), depolarized_schmidt(th2, 0.705882))
+            for p1 in p1s
+            for th1 in thetas
+            for th2 in thetas
+        ]
+        self._check("swap_scan_global_depolarizing_r4.csv", points)
+
+    def test_amplitude_damping(self):
+        # grid and fixed --p4 of `absq swap-scan --family amplitude-damping`
+        ps = np.linspace(0.0, 1.0, 4)
+        points = [
+            ((p1, p2, p3), amp_damped(math.pi / 4, p1, p2), amp_damped(math.pi / 4, p3, 0.714286))
+            for p1 in ps
+            for p2 in ps
+            for p3 in ps
+        ]
+        self._check("swap_scan_amplitude_damping_r4.csv", points)

@@ -8,7 +8,7 @@ from absq.errors import NoSignChange
 from absq.linalg import eigvals_hermitian
 from absq.states import acin_two_param, depolarized_schmidt, isotropic
 from absq.channels import double_apply, global_depolarize, make_channel
-from absq.sweep import Interval, SweepGrid, emit_csv, find_boundary, intervals, scan_2d, scan_3d
+from absq.sweep import Interval, SweepGrid, emit_csv, find_boundary, intervals, scan
 
 
 def acin_bitflip_entropy(p):
@@ -104,12 +104,19 @@ class TestIntervals:
 
 class TestScans:
     def test_grid_values_match_reevaluation(self):
-        grid = scan_2d(lambda x, y: x + 10 * y, ("x", [0, 1, 2]), ("y", [0.5, 1.5]))
+        grid = scan(lambda x, y: x + 10 * y, ("x", [0, 1, 2]), ("y", [0.5, 1.5]))
         assert grid.values.shape == (3, 2)
         assert grid.values[2, 1] == pytest.approx(17.0)
 
+    def test_any_number_of_axes(self):
+        grid = scan(lambda x: 2 * x, ("x", [1, 2, 3]))
+        assert grid.values.tolist() == [2.0, 4.0, 6.0]
+        grid = scan(lambda a, b, c, e: a + b + c + e, *[(n, [0, 1]) for n in "abce"])
+        assert grid.values.shape == (2, 2, 2, 2)
+        assert grid.values[1, 0, 1, 1] == 3.0
+
     def test_single_point_axes(self):
-        grid = scan_3d(lambda x, y, z: x * y * z, ("x", [2]), ("y", [3]), ("z", [4]))
+        grid = scan(lambda x, y, z: x * y * z, ("x", [2]), ("y", [3]), ("z", [4]))
         assert grid.values.shape == (1, 1, 1)
         assert grid.values[0, 0, 0] == pytest.approx(24.0)
 
@@ -117,7 +124,7 @@ class TestScans:
     def test_estimated_membership_region_nonempty(self, d):
         # somewhere on the (beta, lambda) grid the 10-term estimate clears
         # log2(d); heavy mixing always suffices
-        grid = scan_2d(
+        grid = scan(
             lambda beta, lam: series_estimate(global_depolarize(isotropic(d, beta), lam)),
             ("beta", np.linspace(0, 1, 3)),
             ("lambda", [0.9, 1.0]),
@@ -138,7 +145,7 @@ class TestScans:
 
 class TestEmitCsv:
     def test_grid_round_trip(self, tmp_path):
-        grid = scan_2d(lambda x, y: x - y, ("a", [0, 1]), ("b", [2, 3]))
+        grid = scan(lambda x, y: x - y, ("a", [0, 1]), ("b", [2, 3]))
         path = tmp_path / "grid.csv"
         emit_csv(grid, path)
         lines = path.read_text(encoding="utf-8").splitlines()
