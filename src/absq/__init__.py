@@ -25,7 +25,7 @@ from .entropy import (
     von_neumann,
 )
 from .errors import AbsqError
-from .linalg import Spectrum, eig_hermitian, eigvals_hermitian, haar_unitary, kron, partial_trace
+from .linalg import eigvals_hermitian, haar_unitary, partial_trace
 from .states import (
     DensityMatrix,
     acin_tripartite,
@@ -37,6 +37,6 @@ from .states import (
     pure_schmidt,
 )
 from .swap import RetrievalReport, SwapOutcome, retrieval_success, swap_conditionals
-from .sweep import Interval, SweepGrid, emit_csv, find_boundary, intervals, scan
+from .sweep import Interval, find_boundary, intervals
 
 __version__ = "0.1.0"

@@ -13,16 +13,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange
-from .linalg import kron
 from .states import DensityMatrix
-
-
-@dataclass(frozen=True)
-class GellMannBasis:
-    """d^2 - 1 traceless Hermitian matrices with Tr(s_m s_n) = 2 delta_mn."""
-
-    d: int
-    matrices: tuple
 
 
 @dataclass(frozen=True)
@@ -53,37 +44,25 @@ class BlochTripartite:
     t123: np.ndarray
 
 
-def gell_mann_basis(d: int) -> GellMannBasis:
-    """Generalized Gell-Mann matrices for local dimension d.
+def gell_mann_basis(d: int) -> np.ndarray:
+    """The d^2 - 1 generalized Gell-Mann matrices for local dimension d,
+    stacked as a (d^2 - 1, d, d) array; Tr(s_m s_n) = 2 delta_mn.
 
     For d = 2 this is exactly (sigma_x, sigma_y, sigma_z).
     """
     if d < 2:
         raise OutOfRange(f"d={d} must be >= 2")
-    mats = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1.0
-            mats.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j
-            m[k, j] = 1j
-            mats.append(m)
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    h = len(pairs)
+    basis = np.zeros((d * d - 1, d, d), dtype=complex)
+    for n, (j, k) in enumerate(pairs):
+        basis[n, j, k] = basis[n, k, j] = 1.0
+        basis[h + n, j, k], basis[h + n, k, j] = -1j, 1j
     for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
         scale = math.sqrt(2.0 / (l * (l + 1)))
-        for i in range(l):
-            m[i, i] = scale
-        m[l, l] = -l * scale
-        mats.append(m)
-    return GellMannBasis(d, tuple(mats))
-
-
-def _basis_array(d: int) -> np.ndarray:
-    return np.stack(gell_mann_basis(d).matrices)
+        basis[2 * h + l - 1, range(l), range(l)] = scale
+        basis[2 * h + l - 1, l, l] = -l * scale
+    return basis
 
 
 def decompose_bipartite(rho: DensityMatrix) -> BlochBipartite:
@@ -95,7 +74,7 @@ def decompose_bipartite(rho: DensityMatrix) -> BlochBipartite:
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DimensionMismatch(f"expected equal bipartite dims, got {rho.dims}")
     d = rho.dims[0]
-    basis = _basis_array(d)
+    basis = gell_mann_basis(d)
     r = rho.matrix.reshape(d, d, d, d)
     a = (d / 2.0) * np.real(np.einsum("abcb,mca->m", r, basis))
     b = (d / 2.0) * np.real(np.einsum("abad,ndb->n", r, basis))
@@ -104,18 +83,13 @@ def decompose_bipartite(rho: DensityMatrix) -> BlochBipartite:
 
 
 def reconstruct_bipartite(bb: BlochBipartite) -> np.ndarray:
+    """(I x I + sum a_m s_m x I + sum b_n I x s_n + sum t_mn s_m x s_n) / d^2."""
     d = bb.d
-    basis = gell_mann_basis(d).matrices
-    eye = np.eye(d, dtype=complex)
-    m = np.eye(d * d, dtype=complex)
-    for am, sm in zip(bb.a, basis):
-        m += am * kron(sm, eye)
-    for bn, sn in zip(bb.b, basis):
-        m += bn * kron(eye, sn)
-    for i, sm in enumerate(basis):
-        for j, sn in enumerate(basis):
-            m += bb.t[i, j] * kron(sm, sn)
-    return m / (d * d)
+    c = np.empty((d * d, d * d))
+    c[0, 0], c[1:, 0], c[0, 1:], c[1:, 1:] = 1.0, bb.a, bb.b, bb.t
+    full = np.concatenate([np.eye(d, dtype=complex)[None], gell_mann_basis(d)])  # [I, s_1, ...]
+    m = np.einsum("mn,mac,nbd->abcd", c / (d * d), full, full, optimize=True)
+    return m.reshape(d * d, d * d)
 
 
 def purity_from_bloch(bb: BlochBipartite) -> float:
@@ -133,7 +107,7 @@ def decompose_tripartite(rho: DensityMatrix) -> BlochTripartite:
     if len(rho.dims) != 3 or len(set(rho.dims)) != 1:
         raise DimensionMismatch(f"expected three equal dims, got {rho.dims}")
     d = rho.dims[0]
-    basis = _basis_array(d)
+    basis = gell_mann_basis(d)
     r = rho.matrix.reshape(d, d, d, d, d, d)
     t1 = np.real(np.einsum("abcdbc,ida->i", r, basis))
     t2 = np.real(np.einsum("abcaec,jeb->j", r, basis))
@@ -146,27 +120,16 @@ def decompose_tripartite(rho: DensityMatrix) -> BlochTripartite:
 
 
 def reconstruct_tripartite(bt: BlochTripartite) -> np.ndarray:
+    """I/d^3 + (1/(2d^2)) sum t_i s_i x I x I + ... + (1/8) sum t_ijk s_i x s_j x s_k."""
     d = bt.d
-    basis = gell_mann_basis(d).matrices
-    eye = np.eye(d, dtype=complex)
-    n = d**3
-    m = np.eye(n, dtype=complex) / d**3
-    one = 1.0 / (2 * d * d)
-    for i, s in enumerate(basis):
-        m += one * bt.t1[i] * kron(kron(s, eye), eye)
-        m += one * bt.t2[i] * kron(kron(eye, s), eye)
-        m += one * bt.t3[i] * kron(kron(eye, eye), s)
-    two = 1.0 / (4 * d)
-    for i, si in enumerate(basis):
-        for j, sj in enumerate(basis):
-            m += two * bt.t12[i, j] * kron(kron(si, sj), eye)
-            m += two * bt.t13[i, j] * kron(kron(si, eye), sj)
-            m += two * bt.t23[i, j] * kron(kron(eye, si), sj)
-    for i, si in enumerate(basis):
-        for j, sj in enumerate(basis):
-            for k, sk in enumerate(basis):
-                m += bt.t123[i, j, k] * kron(kron(si, sj), sk) / 8.0
-    return m
+    c = np.empty((d * d,) * 3)
+    c[0, 0, 0] = 1.0 / d**3
+    c[1:, 0, 0], c[0, 1:, 0], c[0, 0, 1:] = (t / (2 * d * d) for t in (bt.t1, bt.t2, bt.t3))
+    c[1:, 1:, 0], c[1:, 0, 1:], c[0, 1:, 1:] = (t / (4 * d) for t in (bt.t12, bt.t13, bt.t23))
+    c[1:, 1:, 1:] = bt.t123 / 8.0
+    full = np.concatenate([np.eye(d, dtype=complex)[None], gell_mann_basis(d)])  # [I, s_1, ...]
+    m = np.einsum("ijk,iad,jbe,kcf->abcdef", c, full, full, full, optimize=True)
+    return m.reshape(d**3, d**3)
 
 
 MARGINAL_PAIRS = ("23", "13", "12")

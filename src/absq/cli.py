@@ -479,9 +479,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number_list(text: str) -> bool:
+    try:
+        [float(part) for part in text.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """`--opt -1e-3` as `--opt=-1e-3`: argparse reads a token that starts with
+    '-' as an option unless it looks like -N or -N.N, so -inf, -nan, -1e3 or
+    -0.5,2 would end in "expected one argument" before any value check."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-") and _is_number_list(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except AbsqError as exc:

@@ -1,14 +1,14 @@
-"""Dense complex linear algebra for operators up to a few dozen dimensions.
+"""Hermitian eigenvalues and partial traces for operators up to a few dozen
+dimensions.
 
-Everything downstream (states, channels, entropies, classification) runs on
-the routines in this module.  The eigensolver is a cyclic Jacobi iteration
-with complex plane rotations: for the <= 64x64 Hermitian matrices handled
-here robustness and determinism matter more than speed.
+Every absolute-class verdict depends only on a spectrum, so the module
+computes eigenvalues and never eigenvectors.  The eigensolver is a cyclic
+Jacobi iteration with complex plane rotations: for the <= 64x64 Hermitian
+matrices handled here robustness and determinism matter more than speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 import string
 
@@ -18,19 +18,6 @@ from .errors import DimensionMismatch, NotHermitian
 from .tolerances import HERMITICITY_TOL, JACOBI_OFFDIAG_TOL
 
 _MAX_SWEEPS = 100
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Full eigensystem of a Hermitian matrix.
-
-    eigenvalues are real and sorted non-increasing (ties keep their
-    pre-sort diagonal order); column k of eigenvectors pairs with
-    eigenvalues[k].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _require_square(m: np.ndarray) -> int:
@@ -45,7 +32,7 @@ def _check_hermitian(m: np.ndarray) -> None:
         raise NotHermitian(f"max |M - M^dagger| = {asym:.3e} exceeds {HERMITICITY_TOL}")
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
+def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
     # One two-sided rotation A <- J^dagger A J zeroing A[p, q].  With
     # A[p,q] = r e^{i phi} the rotation is J[p,p] = J[q,q] = c,
     # J[p,q] = s e^{i phi}, J[q,p] = -s e^{-i phi}, tan(2 theta) = 2r / (A[q,q] - A[p,p]).
@@ -77,41 +64,29 @@ def _jacobi_rotate(a: np.ndarray, v: np.ndarray | None, p: int, q: int) -> None:
     a[p, p] = a[p, p].real
     a[q, q] = a[q, q].real
 
-    if v is not None:
-        v_p = v[:, p].copy()
-        v_q = v[:, q].copy()
-        v[:, p] = c * v_p - s_ph_conj * v_q
-        v[:, q] = s_ph * v_p + c * v_q
 
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi(m: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _jacobi(m: np.ndarray) -> np.ndarray:
     n = m.shape[0]
     a = np.array((m + m.conj().T) / 2.0, dtype=complex)
-    v = np.eye(n, dtype=complex) if want_vectors else None
     if n == 1:
-        return np.array([a[0, 0].real]), v
+        return np.array([a[0, 0].real])
     target = JACOBI_OFFDIAG_TOL * max(1.0, float(np.linalg.norm(a)))
     # elements below skip never push the off-diagonal norm back above target
     skip = target / (2.0 * n)
     for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(a) <= target:
+        if np.linalg.norm(a - np.diag(np.diag(a))) <= target:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 if abs(a[p, q]) > skip:
-                    _jacobi_rotate(a, v, p, q)
+                    _jacobi_rotate(a, p, q)
     else:  # pragma: no cover - cyclic Jacobi converges long before this
         raise RuntimeError("Jacobi iteration failed to converge")
-    return np.diag(a).real.copy(), v
+    return np.diag(a).real.copy()
 
 
-def eig_hermitian(m: np.ndarray) -> Spectrum:
-    """Full spectral decomposition of a Hermitian matrix.
+def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, sorted non-increasing.
 
     Cyclic Jacobi sweeps run until the off-diagonal Frobenius norm falls
     below the configured threshold, so the result is deterministic for a
@@ -121,23 +96,7 @@ def eig_hermitian(m: np.ndarray) -> Spectrum:
     m = np.asarray(m, dtype=complex)
     _require_square(m)
     _check_hermitian(m)
-    values, vectors = _jacobi(m, want_vectors=True)
-    order = np.argsort(-values, kind="stable")
-    return Spectrum(values[order], vectors[:, order])
-
-
-def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues only, sorted non-increasing; cheaper than eig_hermitian."""
-    m = np.asarray(m, dtype=complex)
-    _require_square(m)
-    _check_hermitian(m)
-    values, _ = _jacobi(m, want_vectors=False)
-    return np.sort(values)[::-1]
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor on the slower index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.sort(_jacobi(m))[::-1]
 
 
 def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> np.ndarray:

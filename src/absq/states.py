@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidState, NotNormalized, OutOfRange
-from .linalg import _check_hermitian, eigvals_hermitian, kron, partial_trace
+from .linalg import _check_hermitian, eigvals_hermitian, partial_trace
 from .tolerances import PSD_FLOOR, TRACE_TOL
 
 
@@ -204,4 +204,4 @@ def random_product_state(da: int, db: int, seed) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     a = random_density((da,), rng)
     b = random_density((db,), rng)
-    return DensityMatrix(kron(a.matrix, b.matrix), (da, db))
+    return DensityMatrix(np.kron(a.matrix, b.matrix), (da, db))

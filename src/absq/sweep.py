@@ -1,4 +1,4 @@
-"""Parameter scanning, boundary finding, and CSV emission.
+"""Boundary finding, interval extraction, and CSV emission.
 
 Boundaries are always located on continuous scalar witnesses (entropy minus
 its threshold, largest eigenvalue minus 1/d, ...) rather than on booleans,
@@ -8,7 +8,6 @@ which removes grid aliasing from the reported endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import itertools
 
 import numpy as np
 
@@ -26,14 +25,6 @@ class Interval:
     predicate_name: str
     witness_lo: float
     witness_hi: float
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Dense evaluation of a scalar over named axes (first axis outermost)."""
-
-    axes: tuple  # ((name, values), ...)
-    values: np.ndarray
 
 
 def find_boundary(f, bracket, target: float, tol: float = BISECTION_TOL) -> float:
@@ -119,23 +110,6 @@ def intervals(
     return found
 
 
-def _as_axis(axis) -> tuple[str, np.ndarray]:
-    name, values = axis
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise OutOfRange(f"axis {name!r} is empty")
-    return str(name), values
-
-
-def scan(f, *axes) -> SweepGrid:
-    """Evaluate f(x1, x2, ...) on the product grid of the (name, values)
-    axes, first axis outermost."""
-    axes = tuple(_as_axis(axis) for axis in axes)
-    grids = [values for _, values in axes]
-    values = np.array([f(*point) for point in itertools.product(*grids)])
-    return SweepGrid(axes, values.reshape([g.size for g in grids]))
-
-
 def format_number(x: float) -> str:
     """Decimal rendering at 9 significant digits, shared by all CSV output."""
     return f"{float(x):.9g}"
@@ -147,23 +121,3 @@ def write_csv_rows(path, header, rows) -> None:
         for row in rows:
             fh.write(",".join(c if isinstance(c, str) else format_number(c) for c in row) + "\n")
 
-
-def emit_csv(obj, path) -> None:
-    """Write a SweepGrid or a list of Intervals as UTF-8 CSV.
-
-    Grids get one row per point (axis columns then value); interval lists
-    get one row per interval.
-    """
-    if isinstance(obj, SweepGrid):
-        names = [name for name, _ in obj.axes]
-        grids = [values for _, values in obj.axes]
-        rows = []
-        for idx in np.ndindex(*obj.values.shape):
-            coords = [grids[k][i] for k, i in enumerate(idx)]
-            rows.append(coords + [obj.values[idx]])
-        write_csv_rows(path, names + ["value"], rows)
-    else:
-        rows = [
-            [iv.predicate_name, iv.lo, iv.hi, iv.witness_lo, iv.witness_hi] for iv in obj
-        ]
-        write_csv_rows(path, ["predicate", "lo", "hi", "witness_lo", "witness_hi"], rows)

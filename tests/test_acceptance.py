@@ -35,7 +35,7 @@ from absq.entropy import (
     trace_power,
     von_neumann,
 )
-from absq.linalg import eigvals_hermitian, haar_unitary, kron
+from absq.linalg import eigvals_hermitian, haar_unitary
 from absq.states import (
     DensityMatrix,
     acin_tripartite,
@@ -315,7 +315,7 @@ def _random_weyl(d, seed):
     idx = 0
     for a in range(d):
         for b in range(d):
-            u = kron(np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b), np.eye(d))
+            u = np.kron(np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b), np.eye(d))
             vec = u @ psi
             m += weights[idx] * np.outer(vec, vec.conj())
             idx += 1

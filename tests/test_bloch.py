@@ -13,7 +13,7 @@ from absq.bloch import (
 )
 from absq.entropy import trace_power
 from absq.errors import DimensionMismatch, OutOfRange
-from absq.linalg import kron, partial_trace
+from absq.linalg import partial_trace
 from absq.states import DensityMatrix, bell_state, ghz_w_mix, random_density
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -23,15 +23,15 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 class TestGellMannBasis:
     def test_qubit_case_is_paulis(self):
-        mats = gell_mann_basis(2).matrices
+        mats = gell_mann_basis(2)
         np.testing.assert_allclose(mats[0], SX)
         np.testing.assert_allclose(mats[1], SY)
         np.testing.assert_allclose(mats[2], SZ)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_orthogonality_and_tracelessness(self, d):
-        mats = gell_mann_basis(d).matrices
-        assert len(mats) == d * d - 1
+        mats = gell_mann_basis(d)
+        assert mats.shape == (d * d - 1, d, d)
         for i, a in enumerate(mats):
             assert abs(np.trace(a)) <= 1e-12
             assert np.max(np.abs(a - a.conj().T)) <= 1e-12
@@ -44,7 +44,7 @@ class TestGellMannBasis:
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         m = (g + g.conj().T) / 2
         m -= np.trace(m) * np.eye(3) / 3
-        mats = gell_mann_basis(3).matrices
+        mats = gell_mann_basis(3)
         rebuilt = sum(np.trace(m @ s).real / 2 * s for s in mats)
         np.testing.assert_allclose(rebuilt, m, atol=1e-12)
 
@@ -67,9 +67,9 @@ class TestBipartite:
         assert np.max(np.abs(bb.a)) <= 1e-12
         assert np.max(np.abs(bb.b)) <= 1e-12
         np.testing.assert_allclose(bb.t, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
-        for m, sm in enumerate(gell_mann_basis(2).matrices):
-            for n, sn in enumerate(gell_mann_basis(2).matrices):
-                direct = np.trace(rho.matrix @ kron(sm, sn)).real
+        for m, sm in enumerate(gell_mann_basis(2)):
+            for n, sn in enumerate(gell_mann_basis(2)):
+                direct = np.trace(rho.matrix @ np.kron(sm, sn)).real
                 assert bb.t[m, n] == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -131,15 +131,15 @@ class TestTripartite:
         for _ in range(5):
             rho = random_density((2, 2, 2), rng)
             bt = decompose_tripartite(rho)
-            mats = gell_mann_basis(2).matrices
+            mats = gell_mann_basis(2)
             eye = np.eye(2, dtype=complex)
             built = np.eye(4, dtype=complex) / 4
             for j, s in enumerate(mats):
-                built += bt.t2[j] * kron(s, eye) / 4
-                built += bt.t3[j] * kron(eye, s) / 4
+                built += bt.t2[j] * np.kron(s, eye) / 4
+                built += bt.t3[j] * np.kron(eye, s) / 4
             for j, sj in enumerate(mats):
                 for k, sk in enumerate(mats):
-                    built += bt.t23[j, k] * kron(sj, sk) / 4
+                    built += bt.t23[j, k] * np.kron(sj, sk) / 4
             direct = partial_trace(rho.matrix, [2, 2, 2], keep=[1, 2])
             assert np.max(np.abs(built - direct)) <= 1e-10
 

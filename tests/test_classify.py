@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from absq.classify import (
 )
 from absq.entropy import renyi
 from absq.errors import AlphaOutOfDomain, DimensionMismatch, SumMismatch
+from absq.linalg import haar_unitary
 from absq.states import (
     DensityMatrix,
     acin_tripartite,
@@ -237,3 +239,42 @@ def test_dimension_guards():
         is_afef(random_density((2, 3), 0))
     with pytest.raises(DimensionMismatch):
         is_acvenn(random_density((8,), 0))
+
+
+def _spectrum(d: int):
+    # every eigenvalue >= 1e-3/n: Tr rho^alpha for alpha < 1 is not Lipschitz
+    # at 0, so a zero eigenvalue moved by roundoff would move the witness
+    n = d * d
+    floor = 1e-3 / n
+    weights = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+    return weights.map(lambda w: floor + (1.0 - n * floor) * np.array(w) / sum(w))
+
+
+def _verdicts(report):
+    """(verdict, witness, threshold) for every class in a report."""
+    thr = report.thresholds
+    rows = [
+        (report.afef, report.lambda_max, thr["lambda_max"]),
+        (report.acvenn, report.entropy_bits, thr["entropy_bits"]),
+        (report.acre2nn, report.purity, thr["purity"]),
+    ]
+    for alpha, (ok, witness) in report.acrenn.items():
+        rows.append((ok, witness, thr[f"trace_power[{alpha:g}]"]))
+    return rows
+
+
+class TestUnitaryInvariance:
+    # every verdict is a function of the spectrum, so a global unitary
+    # changes no witness beyond roundoff
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(data=st.data(), d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_report_matches_diagonal(self, data, d, seed):
+        lam = data.draw(_spectrum(d))
+        u = haar_unitary(d * d, seed)
+        rotated = classification_report(DensityMatrix(u @ np.diag(lam) @ u.conj().T, (d, d)), (0.5, 2.0))
+        diagonal = classification_report(DensityMatrix(np.diag(lam), (d, d)), (0.5, 2.0))
+        assert rotated.thresholds == diagonal.thresholds
+        for (ok_u, w_u, thr), (ok, w, _) in zip(_verdicts(rotated), _verdicts(diagonal)):
+            assert abs(w_u - w) <= 1e-12
+            if abs(w - thr) > 1e-9:
+                assert ok_u == ok

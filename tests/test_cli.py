@@ -165,6 +165,30 @@ class TestErrorHandling:
         assert err.startswith("error: trace = 2")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["classify", "--state", "bell:index=0", "--alpha", "-inf"], "error: alpha=-inf"),
+            (["classify", "--state", "bell:index=0", "--alpha", "-nan"], "error: alpha=nan"),
+            (["classify", "--state", "bell:index=0", "--alpha", "-1e3"], "error: alpha=-1000.0"),
+            (["classify", "--state", "bell:index=0", "--alpha", "-0.5,2"], "error: alpha=-0.5"),
+            (["swap-scan", "--family", "global-depolarizing", "--p2", "-1e-3"], "error: p=-0.001"),
+            (["swap-scan", "--family", "amplitude-damping", "--p4", "-1e-3"], "error: p=-0.001"),
+        ],
+        ids=["alpha-inf", "alpha-nan", "alpha-1e3", "alpha-list", "p2", "p4"],
+    )
+    def test_negative_literal_value_one_line_error(self, argv, message, tmp_path, capsys):
+        # argparse alone reads these values as options and exits 2
+        path = tmp_path / "out.csv"
+        extra = ["--out", str(path)] if argv[0] == "swap-scan" else []
+        code = main(argv + extra)
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+        assert not path.exists()
+
 
 class TestTableCommands:
     def test_table2(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from absq.channels import double_apply, make_channel
 from absq.entropy import trace_power, von_neumann
 from absq.errors import DimensionMismatch
-from absq.linalg import kron, partial_trace
+from absq.linalg import partial_trace
 from absq.states import DensityMatrix, bell_state, depolarized_schmidt, pure_schmidt, random_density
 from absq.swap import OUTCOME_LABELS, retrieval_success, swap_conditionals
 from absq.sweep import format_number
@@ -42,9 +42,9 @@ class TestSwapConditionals:
         for _ in range(10):
             rho_ab = random_density((2, 2), rng)
             rho_bc = random_density((2, 2), rng)
-            joint = kron(rho_ab.matrix, rho_bc.matrix)
+            joint = np.kron(rho_ab.matrix, rho_bc.matrix)
             for k, o in enumerate(swap_conditionals(rho_ab, rho_bc)):
-                proj = kron(kron(eye, bell_state(k).matrix), eye)
+                proj = np.kron(np.kron(eye, bell_state(k).matrix), eye)
                 sand = proj @ joint @ proj
                 prob = np.trace(sand).real
                 cond = partial_trace(sand, [2, 2, 2, 2], keep=[0, 3]) / prob
