@@ -8,12 +8,14 @@ Each channel carries its transfer tensor
 S[a, a', c, c'] = sum_k K_k[a, c] conj(K_k[a', c']), computed once, so that
 (E rho)[a, a'] = sum_{c, c'} S[a, a', c, c'] rho[c, c'].  Reshaped to a
 d^2 x d^2 matrix it is sum_k K_k (x) conj(K_k) acting on row-major vec(rho).
+transfer_stack builds the tensors of one channel over a whole vector of
+parameters at once, and double_apply_stack applies them to stacks of states;
+make_channel and double_apply are their cases of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import math
 
 import numpy as np
 
@@ -35,6 +37,21 @@ CHANNEL_NAMES = (
 )
 
 
+def _transfer(kraus: np.ndarray) -> np.ndarray:
+    """Transfer tensors S[..., a, a', c, c'] of a stack (..., k, d, d) of
+    Kraus sets, after checking every set's completeness: tracing S over
+    (a, a') gives (sum K^dagger K) transposed."""
+    s = np.einsum("...kac,...kbd->...abcd", kraus, kraus.conj())
+    dim = kraus.shape[-1]
+    err = np.abs(np.einsum("...aacd->...cd", s) - np.eye(dim)).max(axis=(-2, -1))
+    bad = ~(err <= HERMITICITY_TOL)  # NaN fails too
+    if bad.any():
+        raise CompletenessViolation(
+            f"sum K^dagger K deviates from identity by {float(err.flat[np.argmax(bad)]):.3e}"
+        )
+    return s
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """A CPTP map given by its Kraus operators, with the transfer tensor
@@ -48,48 +65,54 @@ class KrausChannel:
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
         object.__setattr__(self, "kraus_ops", ops)
-        stack = np.stack(ops)
-        s = np.einsum("kac,kbd->abcd", stack, stack.conj())
-        object.__setattr__(self, "transfer", s)
-        dim = ops[0].shape[0]
-        # tracing S over (a, a') gives (sum K^dagger K) transposed
-        err = float(np.max(np.abs(np.einsum("aacd->cd", s) - np.eye(dim))))
-        if not err <= HERMITICITY_TOL:  # NaN fails too
-            raise CompletenessViolation(
-                f"sum K^dagger K deviates from identity by {err:.3e}"
-            )
+        object.__setattr__(self, "transfer", _transfer(np.stack(ops)))
 
     @property
     def dim(self) -> int:
         return self.kraus_ops[0].shape[0]
 
 
-def make_channel(name: str, p: float) -> KrausChannel:
-    """Single-qubit channel by name with parameter p in [0, 1]."""
-    if not (0 <= p <= 1):
-        raise OutOfRange(f"p={p} outside [0, 1]")
-    sp = math.sqrt(p)
-    sq = math.sqrt(1.0 - p)
+def _kraus_stack(name: str, ps) -> np.ndarray:
+    """Kraus operators of the named channel at every p of ps, as a
+    (len(ps), k, 2, 2) array."""
+    ps = np.asarray(ps, dtype=float).reshape(-1)
+    outside = ~((0 <= ps) & (ps <= 1))  # NaN is outside too
+    if outside.any():
+        raise OutOfRange(f"p={float(ps[np.argmax(outside)])} outside [0, 1]")
+    sp = np.sqrt(ps)[:, None, None]
+    sq = np.sqrt(1.0 - ps)[:, None, None]
     if name == "phase_flip":
         ops = (sq * _I2, sp * _SZ)
     elif name == "bit_flip":
         ops = (sq * _I2, sp * _SX)
-    elif name == "phase_damping":
-        ops = (
-            np.array([[1, 0], [0, sq]], dtype=complex),
-            np.array([[0, 0], [0, sp]], dtype=complex),
-        )
-    elif name == "amplitude_damping":
-        ops = (
-            np.array([[1, 0], [0, sq]], dtype=complex),
-            np.array([[0, sp], [0, 0]], dtype=complex),
-        )
+    elif name in ("phase_damping", "amplitude_damping"):
+        k0 = np.zeros((ps.size, 2, 2), dtype=complex)
+        k1 = np.zeros((ps.size, 2, 2), dtype=complex)
+        k0[:, 0, 0] = 1.0
+        k0[:, 1, 1] = sq[:, 0, 0]
+        if name == "phase_damping":
+            k1[:, 1, 1] = sp[:, 0, 0]
+        else:
+            k1[:, 0, 1] = sp[:, 0, 0]
+        ops = (k0, k1)
     elif name == "depolarizing":
-        s3 = math.sqrt(p / 3.0)
+        s3 = np.sqrt(ps / 3.0)[:, None, None]
         ops = (sq * _I2, s3 * _SX, s3 * _SY, s3 * _SZ)
     else:
         raise OutOfRange(f"unknown channel {name!r}; expected one of {CHANNEL_NAMES}")
-    return KrausChannel(name, p, ops)
+    return np.stack(ops, axis=1)
+
+
+def make_channel(name: str, p: float) -> KrausChannel:
+    """Single-qubit channel by name with parameter p in [0, 1]."""
+    return KrausChannel(name, p, tuple(_kraus_stack(name, [p])[0]))
+
+
+def transfer_stack(name: str, ps) -> np.ndarray:
+    """Transfer tensors of the named channel at every p of the vector ps, as
+    one (len(ps), 2, 2, 2, 2) array: entry i is make_channel(name, ps[i])
+    .transfer, and completeness is checked on the whole stack."""
+    return _transfer(_kraus_stack(name, ps))
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -106,16 +129,37 @@ def double_apply(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMatrix) -> 
         raise DimensionMismatch(f"expected a (2, 2) state, got dims {rho.dims}")
     if ch_a.dim != 2 or ch_b.dim != 2:
         raise DimensionMismatch("double_apply needs single-qubit channels")
+    return DensityMatrix(_sandwich(ch_a.transfer, ch_b.transfer, rho.matrix), rho.dims)
+
+
+def double_apply_stack(s_a: np.ndarray, s_b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """double_apply on stacks: single-qubit transfer tensors s_a and s_b
+    (..., 2, 2, 2, 2), as transfer_stack returns them, act on subsystems A
+    and B of the two-qubit density matrices m (..., 4, 4).  The three
+    leading shapes broadcast; the result is validated as one stack."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (4, 4) or s_a.shape[-4:] != (2, 2, 2, 2) or s_b.shape[-4:] != (2, 2, 2, 2):
+        raise DimensionMismatch(
+            f"expected two-qubit matrices and single-qubit transfer tensors, got shapes "
+            f"{m.shape}, {s_a.shape} and {s_b.shape}"
+        )
+    out = _sandwich(s_a, s_b, m)
+    DensityMatrix.validate(out)
+    return out
+
+
+def _sandwich(s_a: np.ndarray, s_b: np.ndarray, m: np.ndarray) -> np.ndarray:
     # reshuffle rho[(a b), (a' b')] into R[(a a'), (b b')]; then the product
     # channel acts as S_a R S_b^T with S_x the 4x4 transfer matrices
-    r = _reshuffle(rho.matrix)
-    out = ch_a.transfer.reshape(4, 4) @ r @ ch_b.transfer.reshape(4, 4).T
-    return DensityMatrix(_reshuffle(out), rho.dims)
+    s_a = s_a.reshape(s_a.shape[:-4] + (4, 4))
+    s_b = s_b.reshape(s_b.shape[:-4] + (4, 4))
+    return _reshuffle(s_a @ _reshuffle(m) @ np.swapaxes(s_b, -1, -2))
 
 
 def _reshuffle(m: np.ndarray) -> np.ndarray:
-    # an involution on 4x4 matrices: m[(a b), (a' b')] <-> m[(a a'), (b b')]
-    return m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    # an involution on (stacks of) 4x4 matrices: m[(a b), (a' b')] <-> m[(a a'), (b b')]
+    lead = m.shape[:-2]
+    return m.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(lead + (4, 4))
 
 
 def global_depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:

@@ -27,11 +27,14 @@ def _local_dim(rho: DensityMatrix) -> int:
 
 
 # Spectrum-level verdicts: eigs is the non-increasing spectrum of a d x d
-# state.  The public predicates and classification_report share them.
+# state, or a stack (..., d*d) of them, and each verdict and witness is then
+# an array over the leading axes.  The public predicates,
+# classification_report and the swapping grid share them.
 
 
 def _afef(eigs: np.ndarray, d: int) -> tuple[bool, float]:
-    lam_max = float(eigs[0])
+    lam_max = eigs[..., 0]
+    lam_max = float(lam_max) if lam_max.ndim == 0 else lam_max
     return lam_max <= 1.0 / d + CLASS_MARGIN, lam_max
 
 

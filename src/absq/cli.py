@@ -138,13 +138,16 @@ def cmd_classify(args) -> int:
     rho = build_state(args.state)
     if args.channel:
         rho = apply_channel(args.channel, rho)
-    if args.alpha:
+    if args.alpha is None:
+        alphas = (0.5, 2.0)
+    else:
         try:
             alphas = tuple(float(a) for a in args.alpha.split(","))
         except ValueError:
             raise SpecError(f"--alpha expects comma-separated numbers, got {args.alpha!r}") from None
-    else:
-        alphas = (0.5, 2.0)
+        repeated = [a for i, a in enumerate(alphas) if a in alphas[:i]]
+        if repeated:
+            raise SpecError(f"--alpha repeats the order {repeated[0]:g} in {args.alpha!r}")
     lines = [f"state: {args.state}" + (f" after {args.channel}" if args.channel else "")]
     rows = []
     if args.marginal:
@@ -218,30 +221,33 @@ def table2_rows(points: int = 2001):
     values and deltas.  The depolarizing row is also reported under the
     single-sided reading since its reference cell does not state one.
     """
-    base = states.acin_two_param(0.9, math.pi / 4)
-    ident = channels.make_channel("depolarizing", 0.0)  # the identity map
+    base = states.acin_two_param(0.9, math.pi / 4).matrix
+    ident = channels.make_channel("depolarizing", 0.0).transfer  # the identity map
     rows = []
     for channel in TABLE2_CHANNELS:
         sides_options = (2, 1) if channel == "depolarizing" else (2,)
         for sides in sides_options:
-            # AC and AF scan the same grid of the same states: solve each once
+            # the grid, then each bisection point, is one stack of states
+            # built, validated and solved in one call; AC and AF scan the
+            # same grid, and every p is solved once and kept for both
             spectra: dict = {}
 
-            def spectrum(p, _channel=channel, _sides=sides, _spectra=spectra):
-                if p not in _spectra:
-                    ch = channels.make_channel(_channel, p)
-                    rho = channels.double_apply(ch, ch if _sides == 2 else ident, base)
-                    _spectra[p] = eigvals_hermitian(rho.matrix)
-                return _spectra[p]
+            def spectrum(ps, _channel=channel, _sides=sides, _spectra=spectra):
+                todo = np.array([p for p in ps if p not in _spectra])
+                if todo.size:
+                    s = channels.transfer_stack(_channel, todo)
+                    rho = channels.double_apply_stack(s, s if _sides == 2 else ident, base)
+                    _spectra.update(zip(todo.tolist(), eigvals_hermitian(rho)))
+                return np.array([_spectra[p] for p in ps])
 
             witnesses = {
-                "ac": lambda p, _s=spectrum: entropy.spectrum_entropy(_s(p)),
-                "af": lambda p, _s=spectrum: float(_s(p)[0]),
+                "ac": lambda ps, _s=spectrum: entropy.spectrum_entropy(_s(ps)),
+                "af": lambda ps, _s=spectrum: _s(ps)[:, 0],
             }
             for crit, target, sense in (("ac", 1.0, ">="), ("af", 0.5, "<=")):
                 found = sweep.intervals(
                     witnesses[crit], 0.0, 1.0, target, sense, points=points,
-                    name=f"{channel}/{crit}",
+                    name=f"{channel}/{crit}", vectorized=True,
                 )
                 ref = TABLE2_REFERENCE[(channel, crit)]
                 lo, hi = (found[0].lo, found[0].hi) if found else (math.nan, math.nan)
@@ -357,37 +363,28 @@ def cmd_table4(args) -> int:
     return 0
 
 
-def _classified(rho):
-    return (rho, *classify.is_acvenn(rho))
-
-
 def cmd_swap_scan(args) -> int:
     n = args.resolution
-    # every distinct input state is built and classified once: r^2 of them
-    # for rho_ab, keyed by its two grid coordinates, and r for rho_bc
+    # the two input stacks: r^2 states rho_ab, one per pair of grid
+    # coordinates, and r states rho_bc
     if args.family == "global-depolarizing":
         p1s = np.linspace(0.0, 1.0, n)
         thetas = np.linspace(0.05, math.pi / 2 - 0.05, n)
-        firsts = [
-            ((p1, th1), _classified(states.depolarized_schmidt(th1, p1)))
-            for p1 in p1s
-            for th1 in thetas
-        ]
-        seconds = [(th2, _classified(states.depolarized_schmidt(th2, args.p2))) for th2 in thetas]
+        firsts = [(p1, th1) for p1 in p1s for th1 in thetas]
+        rho_ab = [states.depolarized_schmidt(th1, p1).matrix for p1, th1 in firsts]
+        seconds = thetas
+        rho_bc = [states.depolarized_schmidt(th2, args.p2).matrix for th2 in thetas]
         header = ["p1", "theta1", "theta2", "S_ab", "S_bc", "S00", "S01", "S10", "S11", "success"]
     elif args.family == "amplitude-damping":
         ps = np.linspace(0.0, 1.0, n)
-        base = states.pure_schmidt(math.pi / 4)
-        chans = [channels.make_channel("amplitude_damping", p) for p in ps]
-        ch4 = channels.make_channel("amplitude_damping", args.p4)
-        firsts = [
-            ((p1, p2), _classified(channels.double_apply(c1, c2, base)))
-            for p1, c1 in zip(ps, chans)
-            for p2, c2 in zip(ps, chans)
-        ]
-        seconds = [
-            (p3, _classified(channels.double_apply(c3, ch4, base))) for p3, c3 in zip(ps, chans)
-        ]
+        base = states.pure_schmidt(math.pi / 4).matrix
+        damping = channels.transfer_stack("amplitude_damping", ps)
+        fourth = channels.transfer_stack("amplitude_damping", [args.p4])
+        firsts = [(p1, p2) for p1 in ps for p2 in ps]
+        rho_ab = channels.double_apply_stack(damping[:, None], damping[None, :], base)
+        rho_ab = rho_ab.reshape(-1, 4, 4)
+        seconds = ps
+        rho_bc = channels.double_apply_stack(damping, fourth, base)
         header = ["p1", "p2", "p3", "S_ab", "S_bc", "S00", "S01", "S10", "S11", "success"]
     else:
         print(
@@ -397,14 +394,18 @@ def cmd_swap_scan(args) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    rows = []
-    for (x1, x2), (rho_ab, in_ab, s_ab) in firsts:
-        for x3, (rho_bc, in_bc, s_bc) in seconds:
-            success, _, verdicts = swap.retrieval_branches(rho_ab, rho_bc, in_ab, in_bc)
-            conds = [v[1] if v is not None else math.nan for v in verdicts]
-            rows.append([x1, x2, x3, s_ab, s_bc, *conds, str(success).lower()])
+    grid = swap.retrieval_grid(np.asarray(rho_ab), np.asarray(rho_bc))
+    s_ab = grid.entropy_ab.tolist()
+    s_bc = grid.entropy_bc.tolist()
+    conds = grid.conditional_entropies.tolist()
+    flags = np.where(grid.success, "true", "false").tolist()
+    rows = [
+        [x1, x2, x3, s_ab[i], s_bc[j], *conds[i][j], flags[i][j]]
+        for i, (x1, x2) in enumerate(firsts)
+        for j, x3 in enumerate(seconds)
+    ]
     write_csv_rows(args.out, header, rows)
-    successes = sum(1 for r in rows if r[-1] == "true")
+    successes = int(np.count_nonzero(grid.success))
     print(f"wrote {len(rows)} rows to {args.out} ({successes} success points)")
     return 0
 

@@ -20,48 +20,61 @@ from .tolerances import EIG_CLAMP_FLOOR
 
 
 def _clamp(eigs: np.ndarray) -> np.ndarray:
-    """A non-increasing spectrum with tiny negative roundoff mapped to
-    exact zero.
+    """Non-increasing spectra (along the last axis) with tiny negative
+    roundoff mapped to exact zero.
 
     Anything below the clamp floor is a PSD failure upstream and is
-    rejected here rather than silently fixed.
+    rejected here rather than silently fixed; the message names the first
+    such spectrum's smallest eigenvalue.
     """
-    if eigs[-1] < EIG_CLAMP_FLOOR:
-        raise InvalidState(f"eigenvalue {eigs[-1]:.3e} below the PSD clamp floor")
+    eigs = np.asarray(eigs, dtype=float)
+    low = eigs[..., -1]
+    bad = low < EIG_CLAMP_FLOOR
+    if bad.any():
+        raise InvalidState(f"eigenvalue {low.flat[np.argmax(bad)]:.3e} below the PSD clamp floor")
     return np.where(eigs < 0, 0.0, eigs)
 
 
+def _per_spectrum(x):
+    """A reduction over the last axis: a float for one spectrum, the array
+    for a stack of them."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 # Spectrum-level functionals: eigs is the non-increasing spectrum of a
-# state, as eigvals_hermitian returns it, and each clamps it itself.  The
-# class predicates and the table witnesses call them on spectra they
-# already hold.
+# state, as eigvals_hermitian returns it, or a stack (..., n) of them; each
+# clamps its input itself and reduces over the last axis.  The class
+# predicates, the table witnesses and the swapping grid call them on
+# spectra they already hold.
 
 
-def spectrum_entropy(eigs: np.ndarray) -> float:
+def spectrum_entropy(eigs: np.ndarray) -> float | np.ndarray:
     """-sum(lambda log2 lambda) over a spectrum, with 0 log 0 = 0."""
     eigs = _clamp(eigs)
-    pos = eigs[eigs > 0]
-    return float(-np.sum(pos * np.log2(pos)))
+    pos = eigs > 0
+    # summing only the positive terms keeps the rounding of a sum over them
+    terms = eigs * np.log2(np.where(pos, eigs, 1.0))
+    return _per_spectrum(-np.sum(terms, axis=-1, where=pos))
 
 
-def spectrum_power(eigs: np.ndarray, alpha: float) -> float:
+def spectrum_power(eigs: np.ndarray, alpha: float) -> float | np.ndarray:
     """sum(lambda^alpha) over a spectrum, for real alpha > 0."""
-    return float(np.sum(_clamp(eigs) ** alpha))
+    return _per_spectrum(np.sum(_clamp(eigs) ** alpha, axis=-1))
 
 
-def spectrum_series_flat(eigs: np.ndarray, terms: int) -> float:
+def spectrum_series_flat(eigs: np.ndarray, terms: int) -> float | np.ndarray:
     """series_estimate_flat read off a spectrum."""
     if terms < 1:
         raise OutOfRange(f"terms must be >= 1, got {terms}")
     eigs = _clamp(eigs)
-    r = [float(np.sum(eigs ** n)) for n in range(1, terms + 2)]  # r[n-1] = R_n
+    r = [_per_spectrum(np.sum(eigs ** n, axis=-1)) for n in range(1, terms + 2)]  # r[n-1] = R_n
     total = 0.0
     for k in range(1, terms + 1):
         g = 1.0 + (-1.0) ** k * r[k]
         for m in range(1, k):
             g += (-1.0) ** m * k * r[m]
         total += g / k
-    return total
+    return _per_spectrum(total)
 
 
 def von_neumann(rho: DensityMatrix) -> float:

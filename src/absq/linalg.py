@@ -1,5 +1,5 @@
 """Hermitian eigenvalues and partial traces for operators up to a few dozen
-dimensions.
+dimensions, on one matrix or on a stack (..., n, n) of them.
 
 Every absolute-class verdict depends only on a spectrum, so the module
 computes eigenvalues and never eigenvectors.  The eigensolver is a cyclic
@@ -21,15 +21,27 @@ _MAX_SWEEPS = 100
 
 
 def _require_square(m: np.ndarray) -> int:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Side n of a square matrix or of a stack (..., n, n) of them."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return m.shape[0]
+    return m.shape[-1]
+
+
+def _hermitian_defect(m: np.ndarray) -> np.ndarray:
+    """max |M - M^dagger| of each member of a stack (..., n, n); NaN for a
+    member with a NaN entry."""
+    return np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 def _check_hermitian(m: np.ndarray) -> None:
-    asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if asym > HERMITICITY_TOL:
-        raise NotHermitian(f"max |M - M^dagger| = {asym:.3e} exceeds {HERMITICITY_TOL}")
+    """Raise NotHermitian when a member of the stack m (..., n, n) has a
+    defect above the tolerance; the message names the first such member's
+    defect."""
+    asym = _hermitian_defect(m)
+    bad = asym > HERMITICITY_TOL
+    if bad.any():
+        worst = float(asym.flat[np.argmax(bad)])
+        raise NotHermitian(f"max |M - M^dagger| = {worst:.3e} exceeds {HERMITICITY_TOL}")
 
 
 def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
@@ -86,26 +98,32 @@ def _jacobi(m: np.ndarray) -> np.ndarray:
 
 
 def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted non-increasing.
+    """Eigenvalues of a Hermitian matrix, or of every member of a stack
+    (..., n, n) of them, sorted non-increasing along the last axis.
 
-    Cyclic Jacobi sweeps run until the off-diagonal Frobenius norm falls
-    below the configured threshold, so the result is deterministic for a
-    given input.  Raises NotHermitian when max |M - M^dagger| exceeds the
-    Hermiticity tolerance.
+    Cyclic Jacobi sweeps run on each member until its off-diagonal
+    Frobenius norm falls below the configured threshold, so the result is
+    deterministic for a given input and a member's eigenvalues do not
+    depend on the stack around it.  Raises NotHermitian when some member
+    has max |M - M^dagger| above the Hermiticity tolerance.
     """
     m = np.asarray(m, dtype=complex)
-    _require_square(m)
+    n = _require_square(m)
     _check_hermitian(m)
-    return np.sort(_jacobi(m))[::-1]
+    members = m.reshape(-1, n, n)
+    eigs = np.empty(members.shape[:2])
+    for i, member in enumerate(members):
+        eigs[i] = _jacobi(member)
+    return np.sort(eigs.reshape(m.shape[:-1]), axis=-1)[..., ::-1]
 
 
 def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> np.ndarray:
     """Trace out every subsystem not listed in keep.
 
-    dims lists the subsystem dimensions of the square matrix m (their
-    product must equal its side); keep is a nonempty collection of
-    subsystem indices, and the result acts on those subsystems in their
-    original order.
+    dims lists the subsystem dimensions of the square matrix m, or of each
+    member of a stack (..., n, n) of them (their product must equal the
+    side n); keep is a nonempty collection of subsystem indices, and the
+    result acts on those subsystems in their original order.
     """
     m = np.asarray(m, dtype=complex)
     n = _require_square(m)
@@ -123,9 +141,12 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> np.
         if i not in keep:
             col[i] = row[i]
     out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    reduced = np.einsum(f"{''.join(row)}{''.join(col)}->{out}", m.reshape(dims + dims))
+    lead = m.shape[:-2]
+    reduced = np.einsum(
+        f"...{''.join(row)}{''.join(col)}->...{out}", m.reshape(lead + tuple(dims + dims))
+    )
     d_keep = int(np.prod([dims[i] for i in keep]))
-    return reduced.reshape(d_keep, d_keep)
+    return reduced.reshape(lead + (d_keep, d_keep))
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:

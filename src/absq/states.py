@@ -13,8 +13,22 @@ import warnings
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidState, NotNormalized, OutOfRange
-from .linalg import _check_hermitian, eigvals_hermitian, partial_trace
-from .tolerances import PSD_FLOOR, TRACE_TOL
+from .linalg import (
+    _check_hermitian,
+    _hermitian_defect,
+    _require_square,
+    eigvals_hermitian,
+    partial_trace,
+)
+from .tolerances import HERMITICITY_TOL, PSD_FLOOR, TRACE_TOL
+
+
+def _factorizes(h: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -35,22 +49,51 @@ class DensityMatrix:
             raise DimensionMismatch(
                 f"prod(dims)={int(np.prod(self.dims))} != matrix dim {m.shape[0]}"
             )
-        # NaN slips through every comparison below, so reject it first
-        if not np.isfinite(m).all():
-            raise InvalidState("density matrix has a non-finite entry")
-        _check_hermitian(m)
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidState(f"trace = {tr:.12g}, expected 1")
+        self.validate(m)
+
+    @staticmethod
+    def validate(m: np.ndarray) -> None:
+        """Check that every member of a stack (..., n, n) of matrices is a
+        density matrix: finite entries, Hermitian, unit trace, smallest
+        eigenvalue at least PSD_FLOOR.
+
+        The checks run once over the whole stack.  A rejected stack raises
+        what validating its first rejected member alone raises: InvalidState
+        or NotHermitian, with that member's message.
+        """
+        m = np.asarray(m, dtype=complex)
+        n = _require_square(m)
+        members = m.reshape(-1, n, n)
+        # NaN slips through every comparison below, so it is tested first
+        finite = np.isfinite(members).all(axis=(1, 2))
+        traces = np.trace(members, axis1=1, axis2=2)
+        off = traces - 1.0
+        with np.errstate(invalid="ignore"):  # inf - inf in a non-finite member
+            hermitian = _hermitian_defect(members) <= HERMITICITY_TOL
+        # np.hypot, not np.abs: it rounds as Python's abs(complex) does
+        failed = ~(finite & hermitian & (np.hypot(off.real, off.imag) <= TRACE_TOL))
         # lambda_min >= PSD_FLOOR iff H - PSD_FLOOR I is positive definite
-        # (up to roundoff); only a failed factorization pays for the spectrum
-        shifted = (m + m.conj().T) / 2.0 - PSD_FLOOR * np.eye(m.shape[0])
+        # (up to roundoff); only a failed factorization pays for a spectrum
+        picked = members[~failed] if failed.any() else members
+        shifted = (picked + np.swapaxes(picked.conj(), 1, 2)) / 2.0 - PSD_FLOOR * np.eye(n)
+        lowest = {}
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            lo = float(eigvals_hermitian(m)[-1])
-            if lo < PSD_FLOOR:
-                raise InvalidState(f"negative eigenvalue {lo:.3e} below PSD floor") from None
+            refused = [i for i, h in zip(np.flatnonzero(~failed), shifted) if not _factorizes(h)]
+            for i, lo in zip(refused, eigvals_hermitian(members[refused])[:, -1]):
+                if lo < PSD_FLOOR:
+                    failed[i] = True
+                    lowest[i] = lo
+        if not failed.any():
+            return
+        first = int(np.argmax(failed))
+        if not finite[first]:
+            raise InvalidState("density matrix has a non-finite entry")
+        _check_hermitian(members[first])
+        if abs(complex(traces[first]) - 1.0) > TRACE_TOL:
+            raise InvalidState(f"trace = {complex(traces[first]):.12g}, expected 1")
+        raise InvalidState(f"negative eigenvalue {lowest[first]:.3e} below PSD floor")
 
     @property
     def dim(self) -> int:

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import is_acvenn
+from .classify import _acvenn
 from .errors import DimensionMismatch
+from .linalg import eigvals_hermitian
 from .states import _BELL_VECTORS, DensityMatrix
 from .tolerances import PROB_FLOOR
 
@@ -48,78 +49,135 @@ class RetrievalReport:
     reason: str
 
 
+@dataclass(frozen=True)
+class RetrievalGrid:
+    """The retrieval rule on every input pair (i, j) = (rho_ab[i], rho_bc[j])
+    of two stacks of two-qubit states; entropies are in bits and Bell
+    branches are indexed as OUTCOME_LABELS."""
+
+    entropy_ab: np.ndarray  # (m,) S(rho_ab[i])
+    member_ab: np.ndarray  # (m,) rho_ab[i] in ACVENN
+    entropy_bc: np.ndarray  # (n,)
+    member_bc: np.ndarray  # (n,)
+    probabilities: np.ndarray  # (m, n, 4)
+    conditional_states: np.ndarray  # (m, n, 4, 4, 4); a branch below PROB_FLOOR holds zeros
+    conditional_entropies: np.ndarray  # (m, n, 4); NaN below PROB_FLOOR
+    success: np.ndarray  # (m, n)
+
+
 def _require_two_qubit(rho: DensityMatrix, name: str) -> None:
     if rho.dims != (2, 2):
         raise DimensionMismatch(f"{name} must have dims (2, 2), got {rho.dims}")
 
 
-def swap_conditionals(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> list[SwapOutcome]:
-    """The four post-measurement states of the outer pair (A, C).
+def _branches(ab: np.ndarray, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities (..., 4) and conditional states (..., 4, 4, 4) of the
+    four Bell branches for the two-qubit matrices ab and bc (..., 4, 4),
+    whose leading shapes broadcast.  A branch at or below PROB_FLOOR has no
+    conditional state and keeps zeros.
 
     For each Bell projector P on (B1, B2): probability = Tr[(I x P x I) rho]
     and conditional = Tr_{B1 B2}[(I x P x I) rho (I x P x I)] / probability,
     with rho = rho_AB (x) rho_BC.  The traced sandwich equals the partial
     inner product <Bell_k| rho |Bell_k> on (B1, B2), so all four come from
-    one contraction of the two (2, 2, 2, 2) input tensors.
+    one contraction of the two (..., 2, 2, 2, 2) input tensors.
     """
+    # ab[a x, b u] and bc[y c, v d]: the Bell ket pairs (x y), the bra
+    # (u v); the result is indexed [pair, k, (a c), (b d)].  With the pair
+    # axis innermost in memory, einsum loops along it: the arithmetic of
+    # each pair is unchanged, and its loop overhead is paid once per stack.
+    lead = np.broadcast_shapes(ab.shape[:-2], bc.shape[:-2])
+    blocks = np.einsum(
+        "kxy,kuv,paxbu,pycvd->pkacbd",
+        _BELL,
+        _BELL,
+        _pairs_innermost(ab, lead),
+        _pairs_innermost(bc, lead),
+    )
+    blocks = blocks.reshape(lead + (4, 4, 4))
+    probs = np.trace(blocks, axis1=-2, axis2=-1).real
+    live = probs > PROB_FLOOR
+    conds = blocks / np.where(live, probs, 1.0)[..., None, None]
+    conds[~live] = 0.0
+    return probs, conds
+
+
+def _pairs_innermost(x: np.ndarray, lead: tuple) -> np.ndarray:
+    """x broadcast to lead + (4, 4), as a (pairs, 2, 2, 2, 2) view whose
+    pair axis has the smallest stride."""
+    flat = np.broadcast_to(x, lead + (4, 4)).reshape(-1, 16)
+    return np.ascontiguousarray(flat.T).T.reshape(-1, 2, 2, 2, 2)
+
+
+def swap_conditionals(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> list[SwapOutcome]:
+    """The four post-measurement states of the outer pair (A, C); see
+    _branches for how they are computed."""
     _require_two_qubit(rho_ab, "rho_ab")
     _require_two_qubit(rho_bc, "rho_bc")
-    # rho_ab[a x, b u] and rho_bc[y c, v d]: the Bell ket pairs (x y), the
-    # bra (u v); the result is indexed [k, (a c), (b d)]
-    unnormalised = np.einsum(
-        "kxy,kuv,axbu,ycvd->kacbd",
-        _BELL,
-        _BELL,
-        rho_ab.matrix.reshape(2, 2, 2, 2),
-        rho_bc.matrix.reshape(2, 2, 2, 2),
-    ).reshape(4, 4, 4)
-    outcomes = []
-    for label, block in zip(OUTCOME_LABELS, unnormalised):
-        prob = float(np.real(np.trace(block)))
-        if prob > PROB_FLOOR:
-            cond = DensityMatrix(block / prob, (2, 2))
-        else:
-            cond = None
-        outcomes.append(SwapOutcome(label, prob, cond))
-    return outcomes
+    return _outcomes(*_branches(rho_ab.matrix, rho_bc.matrix))
 
 
-def retrieval_branches(
-    rho_ab: DensityMatrix, rho_bc: DensityMatrix, in_ab: bool, in_bc: bool
-) -> tuple[bool, list[SwapOutcome], tuple]:
-    """The retrieval rule, given the is_acvenn verdicts of the two inputs:
-    success when both are members and the conditional state of some Bell
-    branch is not.
+def _outcomes(probs: np.ndarray, conds: np.ndarray) -> list[SwapOutcome]:
+    return [
+        SwapOutcome(label, float(p), DensityMatrix(c, (2, 2)) if p > PROB_FLOOR else None)
+        for label, p, c in zip(OUTCOME_LABELS, probs, conds)
+    ]
 
-    Also returns the four outcomes and the is_acvenn verdict (member,
-    entropy) of each branch, None for a branch below the probability floor.
+
+def retrieval_grid(rho_ab: np.ndarray, rho_bc: np.ndarray) -> RetrievalGrid:
+    """The retrieval rule on the grid of every pair of the stacks rho_ab
+    (m, 4, 4) and rho_bc (n, 4, 4) of two-qubit density matrices: a pair
+    succeeds when both inputs are inside ACVENN and the conditional state
+    of some Bell branch above PROB_FLOOR is not.
+
+    Each stack (the inputs and the m x n x 4 conditional states) is
+    validated once and diagonalized in one eigvals_hermitian call.
     """
-    outcomes = swap_conditionals(rho_ab, rho_bc)
-    verdicts = tuple(
-        is_acvenn(o.conditional_state) if o.conditional_state is not None else None
-        for o in outcomes
+    ab = np.asarray(rho_ab, dtype=complex)
+    bc = np.asarray(rho_bc, dtype=complex)
+    for name, x in (("rho_ab", ab), ("rho_bc", bc)):
+        if x.ndim != 3 or x.shape[1:] != (4, 4):
+            raise DimensionMismatch(f"{name} must be a stack of 4x4 matrices, got shape {x.shape}")
+        DensityMatrix.validate(x)
+    member_ab, entropy_ab = _acvenn(eigvals_hermitian(ab), 2)
+    member_bc, entropy_bc = _acvenn(eigvals_hermitian(bc), 2)
+    probs, conds = _branches(ab[:, None], bc[None, :])
+    live = probs > PROB_FLOOR
+    states = conds[live]
+    DensityMatrix.validate(states)
+    member, entropy = _acvenn(eigvals_hermitian(states), 2)
+    entropies = np.full(probs.shape, np.nan)
+    entropies[live] = entropy
+    left = np.zeros(probs.shape, dtype=bool)
+    left[live] = ~member
+    success = member_ab[:, None] & member_bc[None, :] & left.any(axis=-1)
+    return RetrievalGrid(
+        entropy_ab, member_ab, entropy_bc, member_bc, probs, conds, entropies, success
     )
-    success = in_ab and in_bc and any(v is not None and not v[0] for v in verdicts)
-    return success, outcomes, verdicts
 
 
 def retrieval_success(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> tuple[bool, RetrievalReport]:
     """Probabilistic retrieval out of the absolute regime.
 
     Succeeds when both inputs are inside the absolute conditional-entropy
-    class (S >= 1) yet some Bell branch leaves the outer pair outside it;
-    see retrieval_branches.
+    class (S >= 1) yet some Bell branch leaves the outer pair outside it:
+    retrieval_grid on stacks of one.
     """
-    in_ab, s_ab = is_acvenn(rho_ab)
-    in_bc, s_bc = is_acvenn(rho_bc)
-    if not (in_ab and in_bc):
-        report = RetrievalReport((s_ab, s_bc), (), (), "input not in the absolute class")
-        return False, report
-    success, outcomes, verdicts = retrieval_branches(rho_ab, rho_bc, in_ab, in_bc)
-    entropies = tuple(v[1] if v is not None else None for v in verdicts)
+    _require_two_qubit(rho_ab, "rho_ab")
+    _require_two_qubit(rho_bc, "rho_bc")
+    grid = retrieval_grid(rho_ab.matrix[None], rho_bc.matrix[None])
+    inputs = (float(grid.entropy_ab[0]), float(grid.entropy_bc[0]))
+    if not (grid.member_ab[0] and grid.member_bc[0]):
+        return False, RetrievalReport(inputs, (), (), "input not in the absolute class")
+    outcomes = _outcomes(grid.probabilities[0, 0], grid.conditional_states[0, 0])
+    entropies = tuple(
+        None if o.conditional_state is None else float(s)
+        for o, s in zip(outcomes, grid.conditional_entropies[0, 0])
+    )
+    success = bool(grid.success[0, 0])
     reason = (
         "some conditional state left the absolute class"
         if success
         else "every conditional state stayed inside the absolute class"
     )
-    return success, RetrievalReport((s_ab, s_bc), tuple(outcomes), entropies, reason)
+    return success, RetrievalReport(inputs, tuple(outcomes), entropies, reason)

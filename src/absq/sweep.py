@@ -71,19 +71,30 @@ def intervals(
     points: int = 2001,
     tol: float = BISECTION_TOL,
     name: str = "",
+    vectorized: bool = False,
 ) -> list[Interval]:
     """Maximal sub-intervals of [lo, hi] where f >= target (sense ">=") or
     f <= target (sense "<="), endpoints refined by bisection.
 
     f is evaluated once per grid point; bisection starts from the grid
     values it already has, and an endpoint on the grid's edge reports its
-    grid value as its witness.  Returns an empty list when the predicate
-    never holds on the grid.
+    grid value as its witness.  With vectorized=True, f maps an array of x
+    to the array of its values: it is called once on the whole grid, and
+    bisection calls it on stacks of one.  Returns an empty list when the
+    predicate never holds on the grid.
     """
     if sense not in (">=", "<="):
         raise OutOfRange(f'sense must be ">=" or "<=", got {sense!r}')
     xs = np.linspace(lo, hi, points)
-    vals = np.array([f(x) for x in xs])
+    if vectorized:
+        vals = np.asarray(f(xs), dtype=float)
+
+        def at(x):
+            return float(f(np.array([x]))[0])
+
+    else:
+        vals = np.array([f(x) for x in xs])
+        at = f
     ok = vals >= target if sense == ">=" else vals <= target
 
     def edge(k: int, inner: int):
@@ -91,8 +102,8 @@ def intervals(
         if k < 0 or k == points:
             return xs[inner], vals[inner]
         a, b = sorted((k, inner), key=lambda n: (xs[n], n))
-        x = _bisect(f, float(xs[a]), float(xs[b]), vals[a], vals[b], target, tol)
-        return x, f(x)
+        x = _bisect(at, float(xs[a]), float(xs[b]), vals[a], vals[b], target, tol)
+        return x, at(x)
 
     found: list[Interval] = []
     i = 0

@@ -2,7 +2,7 @@ import pytest
 
 import numpy as np
 
-from absq import channels, cli, entropy, errors, states
+from absq import channels, classify, cli, entropy, errors, states, swap
 from absq.cli import SpecError, build_state, main, parse_spec, table2_rows, table3_rows, table4_rows
 
 
@@ -142,6 +142,24 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("error: alpha=")
         assert err.count("\n") == 1
+
+    def test_empty_alpha_one_line_error(self, capsys):
+        # an empty list is not the default list
+        code = main(["classify", "--state", "iso:d=2,beta=0.5", "--alpha", ""])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "error: --alpha expects comma-separated numbers, got ''\n"
+
+    def test_repeated_alpha_one_line_error(self, tmp_path, capsys):
+        # a repeated order would print and write one ACRENN row for two
+        path = tmp_path / "report.csv"
+        code = main(["classify", "--state", "iso:d=2,beta=0.5", "--alpha", "2,2.0", "--csv", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "error: --alpha repeats the order 2 in '2,2.0'\n"
+        assert not path.exists()
 
 
 class TestErrorHandling:
@@ -283,6 +301,27 @@ class TestSwapScanCommand:
             capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("family", ["global-depolarizing", "amplitude-damping"])
+    def test_eigensolver_calls_do_not_grow_with_resolution(self, family, monkeypatch, tmp_path, capsys):
+        # the inputs and the conditional states are solved as whole stacks
+        calls = []
+        solve = cli.eigvals_hermitian
+
+        def counted(m):
+            calls.append(m.shape)
+            return solve(m)
+
+        for module in (states, entropy, classify, swap, cli):
+            monkeypatch.setattr(module, "eigvals_hermitian", counted)
+        counts = []
+        for r in ("2", "5"):
+            calls.clear()
+            code = main(["swap-scan", "--family", family, "--resolution", r, "--out", str(tmp_path / "s.csv")])
+            assert code == 0
+            counts.append(len(calls))
+        capsys.readouterr()
+        assert counts[0] == counts[1] > 0
+
 
 class TestBadArguments:
     # each is an argparse usage error: exit 2, nothing written
@@ -325,20 +364,36 @@ class TestTableRowHelpers:
         assert all(r["beta_hi"] == 1.0 for r in rows)
 
     def test_table2_builds_each_distinct_state_once(self, monkeypatch):
-        calls = []
-        double_apply = channels.double_apply
+        # every stack of states comes from one transfer_stack call and is
+        # solved in one eigvals_hermitian call, in that order
+        stacks, solved = [], []
+        transfer_stack = channels.transfer_stack
+        solve = cli.eigvals_hermitian
 
-        def counted(ch_a, ch_b, rho):
-            calls.append((ch_a.name, 2 if ch_b is ch_a else 1, float(ch_a.parameter)))
-            return double_apply(ch_a, ch_b, rho)
+        def built(name, ps):
+            stacks.append((name, [float(p) for p in ps]))
+            return transfer_stack(name, ps)
 
-        monkeypatch.setattr(channels, "double_apply", counted)
+        def counted(m):
+            solved.append(m.shape[0])
+            return solve(m)
+
+        monkeypatch.setattr(channels, "transfer_stack", built)
+        monkeypatch.setattr(cli, "eigvals_hermitian", counted)
         table2_rows(points=7)
-        assert calls and len(calls) == len(set(calls))
-        # the AC and AF scans of one (channel, sides) share every grid state
-        for key in {(name, sides) for name, sides, _ in calls}:
-            grid = {p for name, sides, p in calls if (name, sides) == key}
-            assert set(np.linspace(0.0, 1.0, 7)) <= grid
+        assert solved == [len(ps) for _, ps in stacks]
+        # one (channel, sides) scan starts at each full grid, which the AC
+        # and AF scans share; its bisection points follow as stacks of one
+        grid = list(np.linspace(0.0, 1.0, 7))
+        starts = [i for i, (_, ps) in enumerate(stacks) if ps == grid]
+        assert [stacks[i][0] for i in starts] == [
+            "bit_flip", "phase_flip", "depolarizing", "depolarizing", "phase_damping",
+        ]
+        assert starts[0] == 0
+        for lo, hi in zip(starts, starts[1:] + [len(stacks)]):
+            ps = [p for _, chunk in stacks[lo:hi] for p in chunk]
+            assert len(ps) == len(set(ps)) == sum(solved[lo:hi])
+            assert all(len(chunk) == 1 for _, chunk in stacks[lo + 1:hi])
 
     @pytest.mark.parametrize("rows", [table3_rows, table4_rows])
     def test_isotropic_tables_diagonalize_once_per_d(self, rows, monkeypatch):
