@@ -136,16 +136,16 @@ def double_apply_stack(s_a: np.ndarray, s_b: np.ndarray, m: np.ndarray) -> np.nd
     """double_apply on stacks: single-qubit transfer tensors s_a and s_b
     (..., 2, 2, 2, 2), as transfer_stack returns them, act on subsystems A
     and B of the two-qubit density matrices m (..., 4, 4).  The three
-    leading shapes broadcast; the result is validated as one stack."""
+    leading shapes broadcast.  The result is not validated: check it as one
+    stack with DensityMatrix.validate, or hand it to a function that does,
+    such as swap.retrieval_grid."""
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (4, 4) or s_a.shape[-4:] != (2, 2, 2, 2) or s_b.shape[-4:] != (2, 2, 2, 2):
         raise DimensionMismatch(
             f"expected two-qubit matrices and single-qubit transfer tensors, got shapes "
             f"{m.shape}, {s_a.shape} and {s_b.shape}"
         )
-    out = _sandwich(s_a, s_b, m)
-    DensityMatrix.validate(out)
-    return out
+    return _sandwich(s_a, s_b, m)
 
 
 def _sandwich(s_a: np.ndarray, s_b: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .bloch import BlochBipartite, BlochTripartite, pair_tensors
-from .entropy import check_alpha, spectrum_entropy, spectrum_power
+from .entropy import _per_spectrum, check_alpha, spectrum_entropy, spectrum_power
 from .errors import DimensionMismatch, SumMismatch
 from .linalg import eigvals_hermitian
 from .states import DensityMatrix
@@ -33,8 +33,7 @@ def _local_dim(rho: DensityMatrix) -> int:
 
 
 def _afef(eigs: np.ndarray, d: int) -> tuple[bool, float]:
-    lam_max = eigs[..., 0]
-    lam_max = float(lam_max) if lam_max.ndim == 0 else lam_max
+    lam_max = _per_spectrum(eigs[..., 0])
     return lam_max <= 1.0 / d + CLASS_MARGIN, lam_max
 
 

@@ -237,6 +237,7 @@ def table2_rows(points: int = 2001):
                 if todo.size:
                     s = channels.transfer_stack(_channel, todo)
                     rho = channels.double_apply_stack(s, s if _sides == 2 else ident, base)
+                    states.DensityMatrix.validate(rho)
                     _spectra.update(zip(todo.tolist(), eigvals_hermitian(rho)))
                 return np.array([_spectra[p] for p in ps])
 
@@ -247,7 +248,7 @@ def table2_rows(points: int = 2001):
             for crit, target, sense in (("ac", 1.0, ">="), ("af", 0.5, "<=")):
                 found = sweep.intervals(
                     witnesses[crit], 0.0, 1.0, target, sense, points=points,
-                    name=f"{channel}/{crit}", vectorized=True,
+                    name=f"{channel}/{crit}",
                 )
                 ref = TABLE2_REFERENCE[(channel, crit)]
                 lo, hi = (found[0].lo, found[0].hi) if found else (math.nan, math.nan)
@@ -371,9 +372,9 @@ def cmd_swap_scan(args) -> int:
         p1s = np.linspace(0.0, 1.0, n)
         thetas = np.linspace(0.05, math.pi / 2 - 0.05, n)
         firsts = [(p1, th1) for p1 in p1s for th1 in thetas]
-        rho_ab = [states.depolarized_schmidt(th1, p1).matrix for p1, th1 in firsts]
+        rho_ab = states.depolarized_schmidt_stack(np.tile(thetas, n), np.repeat(p1s, n))
         seconds = thetas
-        rho_bc = [states.depolarized_schmidt(th2, args.p2).matrix for th2 in thetas]
+        rho_bc = states.depolarized_schmidt_stack(thetas, np.full(n, args.p2))
         header = ["p1", "theta1", "theta2", "S_ab", "S_bc", "S00", "S01", "S10", "S11", "success"]
     elif args.family == "amplitude-damping":
         ps = np.linspace(0.0, 1.0, n)
@@ -394,19 +395,20 @@ def cmd_swap_scan(args) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    grid = swap.retrieval_grid(np.asarray(rho_ab), np.asarray(rho_bc))
+    grid = swap.retrieval_grid(rho_ab, rho_bc)
     s_ab = grid.entropy_ab.tolist()
     s_bc = grid.entropy_bc.tolist()
-    conds = grid.conditional_entropies.tolist()
-    flags = np.where(grid.success, "true", "false").tolist()
-    rows = [
-        [x1, x2, x3, s_ab[i], s_bc[j], *conds[i][j], flags[i][j]]
+    # each row of the grid is formatted as the file is written
+    rows = (
+        [x1, x2, x3, s_ab[i], s_bc[j], *conds, "true" if ok else "false"]
         for i, (x1, x2) in enumerate(firsts)
-        for j, x3 in enumerate(seconds)
-    ]
+        for j, (x3, conds, ok) in enumerate(
+            zip(seconds, grid.conditional_entropies[i].tolist(), grid.success[i].tolist())
+        )
+    )
     write_csv_rows(args.out, header, rows)
     successes = int(np.count_nonzero(grid.success))
-    print(f"wrote {len(rows)} rows to {args.out} ({successes} success points)")
+    print(f"wrote {grid.success.size} rows to {args.out} ({successes} success points)")
     return 0
 
 

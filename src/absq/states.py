@@ -72,9 +72,10 @@ class DensityMatrix:
             hermitian = _hermitian_defect(members) <= HERMITICITY_TOL
         # np.hypot, not np.abs: it rounds as Python's abs(complex) does
         failed = ~(finite & hermitian & (np.hypot(off.real, off.imag) <= TRACE_TOL))
+        rejected = failed.any()
         # lambda_min >= PSD_FLOOR iff H - PSD_FLOOR I is positive definite
         # (up to roundoff); only a failed factorization pays for a spectrum
-        picked = members[~failed] if failed.any() else members
+        picked = members[~failed] if rejected else members
         shifted = (picked + np.swapaxes(picked.conj(), 1, 2)) / 2.0 - PSD_FLOOR * np.eye(n)
         lowest = {}
         try:
@@ -85,7 +86,8 @@ class DensityMatrix:
                 if lo < PSD_FLOOR:
                     failed[i] = True
                     lowest[i] = lo
-        if not failed.any():
+                    rejected = True
+        if not rejected:
             return
         first = int(np.argmax(failed))
         if not finite[first]:
@@ -110,12 +112,7 @@ def _projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def pure_schmidt(theta: float) -> DensityMatrix:
-    """Two-qubit pure state cos(theta)|00> + sin(theta)|11>.
-
-    theta at 0 or pi/2 is accepted but yields a product state, which is
-    flagged with a warning.
-    """
+def _schmidt_ket(theta: float) -> np.ndarray:
     if not (0 <= theta <= math.pi / 2):
         raise OutOfRange(f"theta={theta} outside [0, pi/2]")
     if theta in (0.0, math.pi / 2):
@@ -123,7 +120,16 @@ def pure_schmidt(theta: float) -> DensityMatrix:
     vec = np.zeros(4, dtype=complex)
     vec[0] = math.cos(theta)
     vec[3] = math.sin(theta)
-    return DensityMatrix(_projector(vec), (2, 2))
+    return vec
+
+
+def pure_schmidt(theta: float) -> DensityMatrix:
+    """Two-qubit pure state cos(theta)|00> + sin(theta)|11>.
+
+    theta at 0 or pi/2 is accepted but yields a product state, which is
+    flagged with a warning.
+    """
+    return DensityMatrix(_projector(_schmidt_ket(theta)), (2, 2))
 
 
 def depolarized_schmidt(theta: float, p: float) -> DensityMatrix:
@@ -133,11 +139,25 @@ def depolarized_schmidt(theta: float, p: float) -> DensityMatrix:
     Its eigenvalues are (1 + 3p)/4 and (1 - p)/4 (three-fold), independent
     of theta.
     """
-    from .channels import global_depolarize
+    return DensityMatrix(depolarized_schmidt_stack([theta], [p])[0], (2, 2))
 
-    if not (0 <= p <= 1):
-        raise OutOfRange(f"p={p} outside [0, 1]")
-    return global_depolarize(pure_schmidt(theta), 1.0 - p)
+
+def depolarized_schmidt_stack(thetas, ps) -> np.ndarray:
+    """The matrices of depolarized_schmidt(thetas[i], ps[i]) as one
+    (len(ps), 4, 4) array, not yet validated: check them as one stack with
+    DensityMatrix.validate, or hand them to a function that does, such as
+    swap.retrieval_grid.  Out-of-range arguments raise as
+    depolarized_schmidt does, p first."""
+    ps = np.asarray(ps, dtype=float).reshape(-1)
+    outside = ~((0 <= ps) & (ps <= 1))  # NaN is outside too
+    if outside.any():
+        raise OutOfRange(f"p={float(ps[np.argmax(outside)])} outside [0, 1]")
+    kets = np.array([_schmidt_ket(theta) for theta in thetas])
+    if kets.shape != (ps.size, 4):
+        raise DimensionMismatch(f"{len(kets)} values of theta for {ps.size} values of p")
+    # mixing weight 1 - p of the identity, rounded as in global_depolarize
+    mixed = (1.0 - ps)[:, None, None]
+    return (1.0 - mixed) * (kets[:, :, None] * kets.conj()[:, None, :]) + (mixed / 4) * np.eye(4)
 
 
 def acin_two_param(lam: float, theta: float) -> DensityMatrix:

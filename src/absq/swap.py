@@ -60,9 +60,15 @@ class RetrievalGrid:
     entropy_bc: np.ndarray  # (n,)
     member_bc: np.ndarray  # (n,)
     probabilities: np.ndarray  # (m, n, 4)
-    conditional_states: np.ndarray  # (m, n, 4, 4, 4); a branch below PROB_FLOOR holds zeros
     conditional_entropies: np.ndarray  # (m, n, 4); NaN below PROB_FLOOR
     success: np.ndarray  # (m, n)
+
+
+# Input pairs per block of the grid: a pair's Bell blocks and conditional
+# states, with the validator's and the eigensolver's temporaries, take a
+# few KB, so a block's working set stays near 1 MB whatever the grid; a
+# block already holds enough pairs that the per-call overhead is small
+_BLOCK_PAIRS = 256
 
 
 def _require_two_qubit(rho: DensityMatrix, name: str) -> None:
@@ -114,10 +120,7 @@ def swap_conditionals(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> list[Swap
     _branches for how they are computed."""
     _require_two_qubit(rho_ab, "rho_ab")
     _require_two_qubit(rho_bc, "rho_bc")
-    return _outcomes(*_branches(rho_ab.matrix, rho_bc.matrix))
-
-
-def _outcomes(probs: np.ndarray, conds: np.ndarray) -> list[SwapOutcome]:
+    probs, conds = _branches(rho_ab.matrix, rho_bc.matrix)
     return [
         SwapOutcome(label, float(p), DensityMatrix(c, (2, 2)) if p > PROB_FLOOR else None)
         for label, p, c in zip(OUTCOME_LABELS, probs, conds)
@@ -130,8 +133,11 @@ def retrieval_grid(rho_ab: np.ndarray, rho_bc: np.ndarray) -> RetrievalGrid:
     succeeds when both inputs are inside ACVENN and the conditional state
     of some Bell branch above PROB_FLOOR is not.
 
-    Each stack (the inputs and the m x n x 4 conditional states) is
-    validated once and diagonalized in one eigvals_hermitian call.
+    Each input stack is validated once and diagonalized in one
+    eigvals_hermitian call.  The conditional states are formed, validated
+    and diagonalized a block of rows of the grid at a time, one call each
+    per block of about _BLOCK_PAIRS pairs, so that memory beyond the
+    returned arrays does not grow with the grid.
     """
     ab = np.asarray(rho_ab, dtype=complex)
     bc = np.asarray(rho_bc, dtype=complex)
@@ -139,21 +145,29 @@ def retrieval_grid(rho_ab: np.ndarray, rho_bc: np.ndarray) -> RetrievalGrid:
         if x.ndim != 3 or x.shape[1:] != (4, 4):
             raise DimensionMismatch(f"{name} must be a stack of 4x4 matrices, got shape {x.shape}")
         DensityMatrix.validate(x)
+    return _grid(ab, bc)
+
+
+def _grid(ab: np.ndarray, bc: np.ndarray) -> RetrievalGrid:
+    """retrieval_grid on stacks already known to hold density matrices."""
     member_ab, entropy_ab = _acvenn(eigvals_hermitian(ab), 2)
     member_bc, entropy_bc = _acvenn(eigvals_hermitian(bc), 2)
-    probs, conds = _branches(ab[:, None], bc[None, :])
-    live = probs > PROB_FLOOR
-    states = conds[live]
-    DensityMatrix.validate(states)
-    member, entropy = _acvenn(eigvals_hermitian(states), 2)
-    entropies = np.full(probs.shape, np.nan)
-    entropies[live] = entropy
-    left = np.zeros(probs.shape, dtype=bool)
-    left[live] = ~member
+    shape = (len(ab), len(bc), 4)
+    probs = np.empty(shape)
+    entropies = np.full(shape, np.nan)
+    left = np.zeros(shape, dtype=bool)
+    rows = max(1, _BLOCK_PAIRS // len(bc))
+    for lo in range(0, len(ab), rows):
+        block = slice(lo, lo + rows)
+        probs[block], conds = _branches(ab[block, None], bc[None, :])
+        live = probs[block] > PROB_FLOOR
+        states = conds[live]
+        DensityMatrix.validate(states)
+        member, entropy = _acvenn(eigvals_hermitian(states), 2)
+        entropies[block][live] = entropy
+        left[block][live] = ~member
     success = member_ab[:, None] & member_bc[None, :] & left.any(axis=-1)
-    return RetrievalGrid(
-        entropy_ab, member_ab, entropy_bc, member_bc, probs, conds, entropies, success
-    )
+    return RetrievalGrid(entropy_ab, member_ab, entropy_bc, member_bc, probs, entropies, success)
 
 
 def retrieval_success(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> tuple[bool, RetrievalReport]:
@@ -161,15 +175,15 @@ def retrieval_success(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> tuple[boo
 
     Succeeds when both inputs are inside the absolute conditional-entropy
     class (S >= 1) yet some Bell branch leaves the outer pair outside it:
-    retrieval_grid on stacks of one.
+    the retrieval grid on stacks of one.
     """
     _require_two_qubit(rho_ab, "rho_ab")
     _require_two_qubit(rho_bc, "rho_bc")
-    grid = retrieval_grid(rho_ab.matrix[None], rho_bc.matrix[None])
+    grid = _grid(rho_ab.matrix[None], rho_bc.matrix[None])
     inputs = (float(grid.entropy_ab[0]), float(grid.entropy_bc[0]))
     if not (grid.member_ab[0] and grid.member_bc[0]):
         return False, RetrievalReport(inputs, (), (), "input not in the absolute class")
-    outcomes = _outcomes(grid.probabilities[0, 0], grid.conditional_states[0, 0])
+    outcomes = swap_conditionals(rho_ab, rho_bc)
     entropies = tuple(
         None if o.conditional_state is None else float(s)
         for o, s in zip(outcomes, grid.conditional_entropies[0, 0])

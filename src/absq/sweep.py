@@ -71,30 +71,24 @@ def intervals(
     points: int = 2001,
     tol: float = BISECTION_TOL,
     name: str = "",
-    vectorized: bool = False,
 ) -> list[Interval]:
     """Maximal sub-intervals of [lo, hi] where f >= target (sense ">=") or
     f <= target (sense "<="), endpoints refined by bisection.
 
-    f is evaluated once per grid point; bisection starts from the grid
-    values it already has, and an endpoint on the grid's edge reports its
-    grid value as its witness.  With vectorized=True, f maps an array of x
-    to the array of its values: it is called once on the whole grid, and
-    bisection calls it on stacks of one.  Returns an empty list when the
+    f maps an array of x to the array of its values.  It is called once on
+    the whole grid, and bisection calls it on arrays of one x, starting
+    from the grid values it already has; an endpoint on the grid's edge
+    reports its grid value as its witness.  Returns an empty list when the
     predicate never holds on the grid.
     """
     if sense not in (">=", "<="):
         raise OutOfRange(f'sense must be ">=" or "<=", got {sense!r}')
     xs = np.linspace(lo, hi, points)
-    if vectorized:
-        vals = np.asarray(f(xs), dtype=float)
+    vals = np.asarray(f(xs), dtype=float)
 
-        def at(x):
-            return float(f(np.array([x]))[0])
+    def at(x):
+        return float(f(np.array([x]))[0])
 
-    else:
-        vals = np.array([f(x) for x in xs])
-        at = f
     ok = vals >= target if sense == ">=" else vals <= target
 
     def edge(k: int, inner: int):

@@ -25,7 +25,8 @@ from absq.entropy import spectrum_entropy, spectrum_power, spectrum_series_flat
 from absq.errors import AbsqError
 from absq.linalg import eigvals_hermitian, haar_unitary
 from absq.states import DensityMatrix, bell_state, random_density
-from absq.swap import retrieval_grid, retrieval_success, swap_conditionals
+from absq import swap
+from absq.swap import _branches, retrieval_grid, retrieval_success, swap_conditionals
 from absq.tolerances import PSD_FLOOR
 
 from conftest import random_hermitian
@@ -166,6 +167,7 @@ def test_bell_grid_equals_swap_conditionals(m, n, seed):
     ab = np.array([_two_qubit(rng) for _ in range(m)])
     bc = np.array([_two_qubit(rng) for _ in range(n)])
     grid = retrieval_grid(ab, bc)
+    conds = _branches(ab[:, None], bc[None, :])[1]
     for i in range(m):
         for j in range(n):
             rho_ab, rho_bc = DensityMatrix(ab[i], (2, 2)), DensityMatrix(bc[j], (2, 2))
@@ -174,10 +176,36 @@ def test_bell_grid_equals_swap_conditionals(m, n, seed):
                 if outcome.conditional_state is None:
                     assert math.isnan(grid.conditional_entropies[i, j, k])
                 else:
-                    assert _same(outcome.conditional_state.matrix, grid.conditional_states[i, j, k])
+                    assert _same(outcome.conditional_state.matrix, conds[i, j, k])
                     entropy = is_acvenn(outcome.conditional_state)[1]
                     assert _same(entropy, grid.conditional_entropies[i, j, k])
             assert retrieval_success(rho_ab, rho_bc)[0] == grid.success[i, j]
+
+
+@pytest.mark.parametrize("block", [1, 4, 7])
+def test_grid_blocks_bound_the_stacks_and_leave_the_grid_unchanged(block, monkeypatch):
+    rng = np.random.default_rng(block)
+    ab = np.array([_two_qubit(rng) for _ in range(5)])
+    bc = np.array([_two_qubit(rng) for _ in range(3)])
+    whole = retrieval_grid(ab, bc)
+    solved = []
+    solve = swap.eigvals_hermitian
+
+    def counted(m):
+        solved.append(len(m))
+        return solve(m)
+
+    monkeypatch.setattr(swap, "_BLOCK_PAIRS", block)
+    monkeypatch.setattr(swap, "eigvals_hermitian", counted)
+    blocked = retrieval_grid(ab, bc)
+    # the two input stacks, then the live branches of at most
+    # max(block, 3) pairs at a time, each pair with up to four branches
+    rows = max(1, block // 3)
+    assert solved[:2] == [5, 3]
+    assert len(solved) == 2 + -(-5 // rows)
+    assert max(solved[2:]) <= 4 * 3 * rows
+    for field in vars(whole):
+        assert _same(getattr(blocked, field), getattr(whole, field)), field
 
 
 @pytest.mark.parametrize("name", CHANNEL_NAMES)

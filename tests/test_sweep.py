@@ -11,14 +11,18 @@ from absq.channels import double_apply, global_depolarize, make_channel
 from absq.sweep import Interval, find_boundary, intervals, write_csv_rows
 
 
-def acin_bitflip_entropy(p):
-    ch = make_channel("bit_flip", p)
-    return von_neumann(double_apply(ch, ch, acin_two_param(0.9, math.pi / 4)))
+# witnesses for intervals: each maps an array of p to its values
+
+def acin_bitflip_entropy(ps):
+    rho = acin_two_param(0.9, math.pi / 4)
+    chs = [make_channel("bit_flip", p) for p in ps]
+    return np.array([von_neumann(double_apply(ch, ch, rho)) for ch in chs])
 
 
-def acin_phaseflip_lmax(p):
-    ch = make_channel("phase_flip", p)
-    return float(eigvals_hermitian(double_apply(ch, ch, acin_two_param(0.9, math.pi / 4)).matrix)[0])
+def acin_phaseflip_lmax(ps):
+    rho = acin_two_param(0.9, math.pi / 4)
+    chs = [make_channel("phase_flip", p) for p in ps]
+    return np.array([eigvals_hermitian(double_apply(ch, ch, rho).matrix)[0] for ch in chs])
 
 
 class TestFindBoundary:
@@ -61,7 +65,7 @@ class TestIntervals:
         assert found[0].hi == pytest.approx(2 / 3, abs=1e-4)
 
     def test_constant_below_target(self):
-        assert intervals(lambda x: 0.0, 0, 1, 1.0, ">=", points=51) == []
+        assert intervals(np.zeros_like, 0, 1, 1.0, ">=", points=51) == []
 
     def test_endpoint_witnesses(self):
         found = intervals(lambda x: x, 0, 1, 0.25, ">=", points=101)
@@ -76,30 +80,35 @@ class TestIntervals:
         assert abs(coarse[0].hi - fine[0].hi) < 1e-6
 
     def test_multiple_intervals(self):
-        found = intervals(lambda x: math.sin(2 * math.pi * x), 0, 1, 0.5, ">=", points=401)
+        found = intervals(lambda x: np.sin(2 * math.pi * x), 0, 1, 0.5, ">=", points=401)
         assert len(found) == 1
-        found = intervals(lambda x: math.cos(2 * math.pi * x), 0, 1, 0.5, ">=", points=401)
+        found = intervals(lambda x: np.cos(2 * math.pi * x), 0, 1, 0.5, ">=", points=401)
         assert len(found) == 2
 
     def test_grid_values_are_not_reevaluated(self):
-        # one interior crossing: 51 grid values, the bisection's midpoints
-        # and the refined endpoint's witness; the bracket ends and the
-        # grid-edge endpoint reuse their grid values
+        # one interior crossing: one call on the 51-point grid, then one
+        # call on an array of one x per bisection midpoint and one for the
+        # refined endpoint's witness; the bracket ends and the grid-edge
+        # endpoint reuse their grid values
         calls = []
 
         def f(x):
-            calls.append(x)
+            calls.append(len(x))
             return 1.0 - x * x
 
         found = intervals(f, 0.0, 1.0, 0.5, ">=", points=51)
-        cost = len(calls)
         xs = np.linspace(0.0, 1.0, 51)
-        calls.clear()
-        right = find_boundary(f, (xs[35], xs[36]), 0.5)
-        steps = len(calls) - 2
+        evaluated = []
+
+        def g(x):
+            evaluated.append(x)
+            return 1.0 - x * x
+
+        right = find_boundary(g, (xs[35], xs[36]), 0.5)
+        steps = len(evaluated) - 2  # find_boundary evaluates the bracket ends too
         assert steps > 0
-        assert cost == 51 + steps + 1
-        assert found == [Interval(0.0, right, "", 1.0, f(right))]
+        assert calls == [51] + [1] * (steps + 1)
+        assert found == [Interval(0.0, right, "", 1.0, 1.0 - right * right)]
 
 
 class TestScans:
