@@ -125,13 +125,11 @@ def apply_channel(spec: str, rho: states.DensityMatrix) -> states.DensityMatrix:
             raise SpecError(f"{name} got unknown parameters {sorted(params)}")
     else:
         p1, p2 = _take(params, name, "p1", "p2")
-    if rho.dims == (2,):
-        return channels.apply(channels.make_channel(base, p1), rho)
-    if rho.dims == (2, 2):
-        return channels.double_apply(
-            channels.make_channel(base, p1), channels.make_channel(base, p2), rho
-        )
-    raise SpecError(f"channel {name} needs a one- or two-qubit state, got dims {rho.dims}")
+    if rho.dims != (2, 2):
+        raise SpecError(f"channel {name} needs a two-qubit state, got dims {rho.dims}")
+    return channels.double_apply(
+        channels.make_channel(base, p1), channels.make_channel(base, p2), rho
+    )
 
 
 def cmd_classify(args) -> int:
@@ -149,7 +147,6 @@ def cmd_classify(args) -> int:
         if repeated:
             raise SpecError(f"--alpha repeats the order {repeated[0]:g} in {args.alpha!r}")
     lines = [f"state: {args.state}" + (f" after {args.channel}" if args.channel else "")]
-    rows = []
     if args.marginal:
         if len(rho.dims) != 3:
             raise SpecError("--marginal needs a tripartite state")
@@ -162,33 +159,25 @@ def cmd_classify(args) -> int:
             f"(||T||^2 = {format_number(tnorm)}; purity = {format_number(purity)}, "
             f"direct verdict {ok_direct})"
         )
-        rows.append(["marginal_acre2nn", str(ok_bloch).lower(), tnorm])
-        rows.append(["marginal_purity", str(ok_direct).lower(), purity])
+        rows = [("marginal_acre2nn", ok_bloch, tnorm), ("marginal_purity", ok_direct, purity)]
     else:
         report = classify.classification_report(rho, alphas)
-        thr = report.thresholds
-        lines.append(
-            f"AFEF     {report.afef}  lambda_max = {format_number(report.lambda_max)}"
-            f" (threshold {format_number(thr['lambda_max'])})"
-        )
-        lines.append(
-            f"ACVENN   {report.acvenn}  entropy_bits = {format_number(report.entropy_bits)}"
-            f" (threshold {format_number(thr['entropy_bits'])})"
-        )
-        for alpha, (ok, witness) in report.acrenn.items():
+        # (criterion, verdict, witness, its key in report.thresholds)
+        entries = [
+            ("afef", report.afef, report.lambda_max, "lambda_max"),
+            ("acvenn", report.acvenn, report.entropy_bits, "entropy_bits"),
+            *(
+                (f"acrenn[{alpha:g}]", ok, witness, f"trace_power[{alpha:g}]")
+                for alpha, (ok, witness) in report.acrenn.items()
+            ),
+            ("acre2nn", report.acre2nn, report.purity, "purity"),
+        ]
+        for criterion, ok, witness, key in entries:
             lines.append(
-                f"ACRENN[{alpha:g}] {ok}  trace_power = {format_number(witness)}"
-                f" (threshold {format_number(thr[f'trace_power[{alpha:g}]'])})"
+                f"{criterion.upper():<8} {ok}  {key.partition('[')[0]} = {format_number(witness)}"
+                f" (threshold {format_number(report.thresholds[key])})"
             )
-        lines.append(
-            f"ACRE2NN  {report.acre2nn}  purity = {format_number(report.purity)}"
-            f" (threshold {format_number(thr['purity'])})"
-        )
-        rows.append(["afef", str(report.afef).lower(), report.lambda_max])
-        rows.append(["acvenn", str(report.acvenn).lower(), report.entropy_bits])
-        for alpha, (ok, witness) in report.acrenn.items():
-            rows.append([f"acrenn[{alpha:g}]", str(ok).lower(), witness])
-        rows.append(["acre2nn", str(report.acre2nn).lower(), report.purity])
+        rows = [(criterion, ok, witness) for criterion, ok, witness, _ in entries]
     print("\n".join(lines))
     if args.csv:
         write_csv_rows(args.csv, ["criterion", "member", "witness"], rows)
@@ -270,24 +259,6 @@ def table2_rows(points: int = 2001):
     return rows
 
 
-def cmd_table2(args) -> int:
-    rows = table2_rows(points=args.points)
-    header = [
-        "channel", "criterion", "sides", "empty",
-        "lo", "hi", "ref_lo", "ref_hi", "delta_lo", "delta_hi",
-    ]
-    out = [
-        [
-            r["channel"], r["criterion"], str(r["sides"]), str(r["empty"]).lower(),
-            r["lo"], r["hi"], r["ref_lo"], r["ref_hi"], r["delta_lo"], r["delta_hi"],
-        ]
-        for r in rows
-    ]
-    write_csv_rows(args.out, header, out)
-    print(f"wrote {len(out)} rows to {args.out}")
-    return 0
-
-
 def _depolarized_isotropic(d: int, beta: float):
     """lambda -> spectrum of the isotropic state after global depolarizing
     with weight lambda; the state is diagonalized once."""
@@ -306,16 +277,10 @@ def table3_rows():
             return entropy.spectrum_entropy(_spectrum(lam))
 
         lam_star = sweep.find_boundary(witness, (0.0, 1.0), math.log2(d))
-        rows.append({"d": d, "beta": 0.8, "lam": lam_star, "ref": ref, "delta": abs(lam_star - ref)})
+        rows.append(
+            {"d": d, "beta": 0.8, "lambda_lo": lam_star, "ref": ref, "delta": abs(lam_star - ref)}
+        )
     return rows
-
-
-def cmd_table3(args) -> int:
-    rows = table3_rows()
-    out = [[str(r["d"]), r["beta"], r["lam"], r["ref"], r["delta"]] for r in rows]
-    write_csv_rows(args.out, ["d", "beta", "lambda_lo", "ref", "delta"], out)
-    print(f"wrote {len(out)} rows to {args.out}")
-    return 0
 
 
 def table4_rows(terms: int = 10):
@@ -345,7 +310,7 @@ def table4_rows(terms: int = 10):
                 "d": d,
                 "beta_lo": -1.0 / (d * d - 1),
                 "beta_hi": 1.0,
-                "lam": lam_star,
+                "lambda_lo": lam_star,
                 "ref": ref,
                 "delta": abs(lam_star - ref),
             }
@@ -353,14 +318,11 @@ def table4_rows(terms: int = 10):
     return rows
 
 
-def cmd_table4(args) -> int:
-    rows = table4_rows(terms=args.terms)
-    out = [
-        [str(r["d"]), r["beta_lo"], r["beta_hi"], r["lam"], r["ref"], r["delta"]]
-        for r in rows
-    ]
-    write_csv_rows(args.out, ["d", "beta_lo", "beta_hi", "lambda_lo", "ref", "delta"], out)
-    print(f"wrote {len(out)} rows to {args.out}")
+def write_table(path, rows) -> int:
+    """table2, table3 and table4: one CSV line per row dict, the columns
+    named by its keys."""
+    write_csv_rows(path, list(rows[0]), [r.values() for r in rows])
+    print(f"wrote {len(rows)} rows to {path}")
     return 0
 
 
@@ -400,7 +362,7 @@ def cmd_swap_scan(args) -> int:
     s_bc = grid.entropy_bc.tolist()
     # each row of the grid is formatted as the file is written
     rows = (
-        [x1, x2, x3, s_ab[i], s_bc[j], *conds, "true" if ok else "false"]
+        [x1, x2, x3, s_ab[i], s_bc[j], *conds, ok]
         for i, (x1, x2) in enumerate(firsts)
         for j, (x3, conds, ok) in enumerate(
             zip(seconds, grid.conditional_entropies[i].tolist(), grid.success[i].tolist())
@@ -457,16 +419,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="AC/AF intervals for the noisy two-qubit mixed family")
     p.add_argument("--out", default="table2.csv")
     p.add_argument("--points", type=_int_at_least(2), default=2001, help="coarse grid size per scan")
-    p.set_defaults(func=cmd_table2)
+    p.set_defaults(func=lambda a: write_table(a.out, table2_rows(points=a.points)))
 
     p = sub.add_parser("table3", help="exact isotropic membership boundaries (beta = 0.8)")
     p.add_argument("--out", default="table3.csv")
-    p.set_defaults(func=cmd_table3)
+    p.set_defaults(func=lambda a: write_table(a.out, table3_rows()))
 
     p = sub.add_parser("table4", help="series-surrogate isotropic membership boundaries")
     p.add_argument("--out", default="table4.csv")
     p.add_argument("--terms", type=_int_at_least(1), default=10)
-    p.set_defaults(func=cmd_table4)
+    p.set_defaults(func=lambda a: write_table(a.out, table4_rows(terms=a.terms)))
 
     p = sub.add_parser("swap-scan", help="scan the swapping network for retrieval regions")
     p.add_argument(

@@ -16,20 +16,20 @@ import numpy as np
 from .errors import AlphaOutOfDomain, DimensionMismatch, InvalidState, OutOfRange
 from .linalg import eigvals_hermitian
 from .states import DensityMatrix
-from .tolerances import EIG_CLAMP_FLOOR
+from .tolerances import PSD_FLOOR
 
 
 def _clamp(eigs: np.ndarray) -> np.ndarray:
     """Non-increasing spectra (along the last axis) with tiny negative
     roundoff mapped to exact zero.
 
-    Anything below the clamp floor is a PSD failure upstream and is
+    Anything below PSD_FLOOR is a PSD failure upstream and is
     rejected here rather than silently fixed; the message names the first
     such spectrum's smallest eigenvalue.
     """
     eigs = np.asarray(eigs, dtype=float)
     low = eigs[..., -1]
-    bad = low < EIG_CLAMP_FLOOR
+    bad = low < PSD_FLOOR
     if bad.any():
         raise InvalidState(f"eigenvalue {low.flat[np.argmax(bad)]:.3e} below the PSD clamp floor")
     return np.where(eigs < 0, 0.0, eigs)

@@ -42,7 +42,10 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        dims = tuple(self.dims)
+        if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
+            raise DimensionMismatch(f"subsystem dims must be integers >= 1, got {dims}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
         if int(np.prod(self.dims)) != m.shape[0]:

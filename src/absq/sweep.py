@@ -120,9 +120,19 @@ def format_number(x: float) -> str:
     return f"{float(x):.9g}"
 
 
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format_number(value)
+
+
 def write_csv_rows(path, header, rows) -> None:
+    """The one CSV writer: text is written as given, a bool as true/false,
+    and any other value through format_number."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else format_number(c) for c in row) + "\n")
+            fh.write(",".join(_cell(c) for c in row) + "\n")
 

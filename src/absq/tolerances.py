@@ -8,6 +8,7 @@ validation threshold is never duplicated with a different value.
 HERMITICITY_TOL = 1e-10
 
 # Positive semidefiniteness: smallest eigenvalue a density matrix may have.
+# Entropy functionals treat eigenvalues in [PSD_FLOOR, 0) as exact zeros.
 PSD_FLOOR = -1e-9
 
 # Unit-trace check for density matrices.
@@ -15,10 +16,6 @@ TRACE_TOL = 1e-10
 
 # Jacobi sweeps stop once the off-diagonal Frobenius norm drops below this.
 JACOBI_OFFDIAG_TOL = 1e-12
-
-# Eigenvalues in [EIG_CLAMP_FLOOR, 0) are treated as exact zeros inside
-# entropy functionals; anything below PSD_FLOOR is a validation failure.
-EIG_CLAMP_FLOOR = -1e-9
 
 # Guard band for inclusive class-membership comparisons (lambda_max <= 1/d
 # and friends); boundary states classify as members.

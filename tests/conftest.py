@@ -1,5 +1,10 @@
+from hypothesis import settings
 import numpy as np
 import pytest
+
+# property tests draw the same examples on every run and are not timed
+settings.register_profile("absq", derandomize=True, deadline=None)
+settings.load_profile("absq")
 
 
 @pytest.fixture

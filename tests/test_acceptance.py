@@ -264,7 +264,7 @@ class TestTable3:
     def test_rows(self):
         rows = table3_rows()
         worst = max(r["delta"] for r in rows)
-        detail = ", ".join(f"d={r['d']}: {r['lam']:.6f}" for r in rows)
+        detail = ", ".join(f"d={r['d']}: {r['lambda_lo']:.6f}" for r in rows)
         check("table 3 boundaries", worst <= 1e-4, detail)
 
 
@@ -279,7 +279,7 @@ class TestTable4:
             abs(r["beta_lo"] + 1.0 / (r["d"] ** 2 - 1)) <= 1e-12 and r["beta_hi"] == 1.0
             for r in rows
         )
-        detail = ", ".join(f"d={r['d']}: {r['lam']:.6f}" for r in rows)
+        detail = ", ".join(f"d={r['d']}: {r['lambda_lo']:.6f}" for r in rows)
         check("table 4 boundaries", worst <= 1e-3 and beta_ok, detail)
 
     def test_boundary_value_is_threshold(self):

@@ -1,6 +1,6 @@
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -266,7 +266,7 @@ def _verdicts(report):
 class TestUnitaryInvariance:
     # every verdict is a function of the spectrum, so a global unitary
     # changes no witness beyond roundoff
-    @settings(derandomize=True, deadline=None, max_examples=50)
+    @settings(max_examples=50)
     @given(data=st.data(), d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
     def test_report_matches_diagonal(self, data, d, seed):
         lam = data.draw(_spectrum(d))
@@ -278,3 +278,35 @@ class TestUnitaryInvariance:
             assert abs(w_u - w) <= 1e-12
             if abs(w - thr) > 1e-9:
                 assert ok_u == ok
+
+
+# every class is closed downward in the majorization order: r in a class
+# and r majorizing s puts s in the same class
+@pytest.mark.parametrize("d", [2, 3])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_majorized_spectrum_keeps_every_verdict(data, d):
+    n = d * d
+    r = data.draw(_spectrum(d))
+    perms = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(perms), max_size=len(perms)))
+    s = sum(w * r[list(p)] for w, p in zip(weights, perms)) / sum(weights)
+    assert majorizes(r, s)
+    alphas = (0.3, 0.5, 2.0, 5.0)
+    reports = [classification_report(DensityMatrix(np.diag(x), (d, d)), alphas) for x in (r, s)]
+    for (ok_r, _, _), (ok_s, _, _) in zip(*map(_verdicts, reports)):
+        assert ok_s or not ok_r
+
+
+class TestAbsolutelySeparableSpectra:
+    # lambda_1 <= lambda_3 + 2 sqrt(lambda_2 lambda_4) makes every two-qubit
+    # state of that spectrum separable, and a separable state has
+    # S(A|B) >= 0 and a fully entangled fraction of at most 1/2
+    @settings(max_examples=50)
+    @given(lam=_spectrum(2), t=st.floats(0.0, 1.0))
+    def test_absolutely_separable_spectra_pass_acvenn_and_afef(self, lam, t):
+        # pulled toward I/4 by a drawn weight, so the condition often holds
+        l1, l2, l3, l4 = sorted(t * lam + (1.0 - t) / 4, reverse=True)
+        assume(l1 <= l3 + 2.0 * math.sqrt(l2 * l4))
+        report = classification_report(DensityMatrix(np.diag([l1, l2, l3, l4]), (2, 2)))
+        assert report.acvenn and report.afef

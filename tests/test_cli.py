@@ -207,6 +207,13 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert not path.exists()
 
+    def test_channel_on_three_qubits_one_line_error(self, capsys):
+        code = main(["classify", "--state", "ghzw:p=0.5", "--channel", "bit-flip:p=0.3"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "error: channel bit-flip needs a two-qubit state, got dims (2, 2, 2)\n"
+
 
 class TestTableCommands:
     def test_table2(self, tmp_path, capsys):

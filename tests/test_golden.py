@@ -1,11 +1,19 @@
 """Byte-for-byte regression of every CSV command against files in golden/.
 
-The golden files were written by the implementation that preceded the
-transfer-tensor channels and the einsum Bell projection, except
-table2_points2001.csv, which was written before table2 shared one spectrum
-per grid state between its AC and AF scans; a mismatch means an output digit
-moved.  Explain such a change, never regenerate the files to
-make this pass.
+Each case names its golden file, the option that gives the command its
+output path (`--out` for the tables and the swap scan, `--csv` for
+classify) and the command.  A `--csv` case also compares its printed
+report with the `.stdout` file of the same name, since classify prints no
+path.
+
+The table, swap-scan and table2_points51 files were written by the
+implementation that preceded the transfer-tensor channels and the einsum
+Bell projection; table2_points2001.csv was written before table2 shared one
+spectrum per grid state between its AC and AF scans; table2_points2.csv and
+the classify files were written before every CSV cell went through the one
+cell renderer of sweep.write_csv_rows.  A mismatch means an output digit
+moved.  Explain such a change, never regenerate the files to make this
+pass.
 """
 
 from pathlib import Path
@@ -17,22 +25,35 @@ from absq.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
-    "table2_points51.csv": ["table2", "--points", "51"],
-    "table2_points2001.csv": ["table2"],
-    "table3.csv": ["table3"],
-    "table4.csv": ["table4"],
-    "swap_scan_global_depolarizing_r4.csv": [
-        "swap-scan", "--family", "global-depolarizing", "--resolution", "4",
-    ],
-    "swap_scan_amplitude_damping_r4.csv": [
-        "swap-scan", "--family", "amplitude-damping", "--resolution", "4",
-    ],
+    "table2_points2.csv": ("--out", ["table2", "--points", "2"]),
+    "table2_points51.csv": ("--out", ["table2", "--points", "51"]),
+    "table2_points2001.csv": ("--out", ["table2"]),
+    "table3.csv": ("--out", ["table3"]),
+    "table4.csv": ("--out", ["table4"]),
+    "swap_scan_global_depolarizing_r4.csv": (
+        "--out", ["swap-scan", "--family", "global-depolarizing", "--resolution", "4"],
+    ),
+    "swap_scan_amplitude_damping_r4.csv": (
+        "--out", ["swap-scan", "--family", "amplitude-damping", "--resolution", "4"],
+    ),
+    "classify_acin_bit_flip.csv": (
+        "--csv", ["classify", "--state", "acin:lambda=0.9,theta=0.7854", "--channel", "bit-flip:p=0.2"],
+    ),
+    "classify_iso_d3_alpha.csv": (
+        "--csv", ["classify", "--state", "iso:d=3,beta=0.2", "--alpha", "0.3,2,5"],
+    ),
+    "classify_ghzw_marginal23.csv": (
+        "--csv", ["classify", "--state", "ghzw:p=0.5", "--marginal", "23"],
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_matches_golden(name, tmp_path, capsys):
+    flag, argv = CASES[name]
     out = tmp_path / name
-    assert main(CASES[name] + ["--out", str(out)]) == 0
-    capsys.readouterr()
+    assert main(argv + [flag, str(out)]) == 0
+    printed = capsys.readouterr().out
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    if flag == "--csv":
+        assert printed == (GOLDEN / name).with_suffix(".stdout").read_text(encoding="utf-8")

@@ -31,7 +31,7 @@ from absq.tolerances import PSD_FLOOR
 
 from conftest import random_hermitian
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
+PROPERTY = settings(max_examples=20)
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -160,7 +160,7 @@ def _two_qubit(rng) -> np.ndarray:
     return 0.5 * random_density((2, 2), rng).matrix + 0.5 * np.eye(4) / 4
 
 
-@settings(derandomize=True, deadline=None, max_examples=12)
+@settings(max_examples=12)
 @given(m=st.integers(1, 3), n=st.integers(1, 2), seed=SEEDS)
 def test_bell_grid_equals_swap_conditionals(m, n, seed):
     rng = np.random.default_rng(seed)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from absq.entropy import trace_power
-from absq.errors import InvalidState, NotNormalized, OutOfRange
+from absq.errors import DimensionMismatch, InvalidState, NotNormalized, OutOfRange
 from absq.linalg import eigvals_hermitian, haar_unitary, partial_trace
 from absq.states import (
     DensityMatrix,
@@ -239,6 +239,19 @@ def test_density_matrix_rejects_bad_inputs():
         DensityMatrix(np.eye(4) / 2, (2, 2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex), (2,))  # negative eigenvalue
+
+
+class TestSubsystemDims:
+    def test_rejects_negative_dims(self):
+        with pytest.raises(DimensionMismatch, match="integers >= 1"):
+            DensityMatrix(np.eye(4) / 4, (-2, -2))
+
+    def test_rejects_fractional_dims(self):
+        with pytest.raises(DimensionMismatch, match="integers >= 1"):
+            DensityMatrix(np.eye(4) / 4, (2.7, 2))
+
+    def test_accepts_trivial_subsystem(self):
+        assert DensityMatrix(np.eye(4) / 4, (1, 4)).dims == (1, 4)
 
 
 def _with_smallest_eigenvalue(lam_min, seed=7):
