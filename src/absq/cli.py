@@ -9,6 +9,7 @@ are carried in separate comparison columns, never silently asserted.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
@@ -212,50 +213,62 @@ def table2_rows(points: int = 2001):
     """
     base = states.acin_two_param(0.9, math.pi / 4).matrix
     ident = channels.make_channel("depolarizing", 0.0).transfer  # the identity map
+    scans = [
+        (channel, sides)
+        for channel in TABLE2_CHANNELS
+        for sides in ((2, 1) if channel == "depolarizing" else (2,))
+    ]
+    # criterion 2k is AC and 2k + 1 is AF on scan k
+    tests = (("ac", 1.0, ">="), ("af", 0.5, "<="))
+    criteria = [
+        (f"{channel}/{crit}", target, sense) for channel, _ in scans for crit, target, sense in tests
+    ]
+    # every call of the witness, on the grids of all scans or on one
+    # bisection step of all brackets, is one stack of states built,
+    # validated and solved at once; each (scan, p) is solved once and kept,
+    # so the AC and AF scans share their states
+    spectra: dict = {}
+
+    def witness(which, ps):
+        keys = list(zip((which // 2).tolist(), ps.tolist()))
+        todo = sorted(set(keys).difference(spectra))  # scan order, so by channel
+        if todo:
+            s = np.concatenate([
+                channels.transfer_stack(channel, [p for _, p in group])
+                for channel, group in itertools.groupby(todo, key=lambda key: scans[key[0]][0])
+            ])
+            one_sided = np.array([scans[k][1] == 1 for k, _ in todo])[:, None, None, None, None]
+            rho = channels.double_apply_stack(s, np.where(one_sided, ident, s), base)
+            states.DensityMatrix.validate(rho)
+            spectra.update(zip(todo, eigvals_hermitian(rho)))
+        spec = np.array([spectra[key] for key in keys])
+        values = spec[:, 0]  # AF: the largest eigenvalue
+        ac = which % 2 == 0
+        values[ac] = entropy.spectrum_entropy(spec[ac])
+        return values
+
+    found = sweep.intervals(witness, criteria, 0.0, 1.0, points=points)
     rows = []
-    for channel in TABLE2_CHANNELS:
-        sides_options = (2, 1) if channel == "depolarizing" else (2,)
-        for sides in sides_options:
-            # the grid, then each bisection point, is one stack of states
-            # built, validated and solved in one call; AC and AF scan the
-            # same grid, and every p is solved once and kept for both
-            spectra: dict = {}
-
-            def spectrum(ps, _channel=channel, _sides=sides, _spectra=spectra):
-                todo = np.array([p for p in ps if p not in _spectra])
-                if todo.size:
-                    s = channels.transfer_stack(_channel, todo)
-                    rho = channels.double_apply_stack(s, s if _sides == 2 else ident, base)
-                    states.DensityMatrix.validate(rho)
-                    _spectra.update(zip(todo.tolist(), eigvals_hermitian(rho)))
-                return np.array([_spectra[p] for p in ps])
-
-            witnesses = {
-                "ac": lambda ps, _s=spectrum: entropy.spectrum_entropy(_s(ps)),
-                "af": lambda ps, _s=spectrum: _s(ps)[:, 0],
-            }
-            for crit, target, sense in (("ac", 1.0, ">="), ("af", 0.5, "<=")):
-                found = sweep.intervals(
-                    witnesses[crit], 0.0, 1.0, target, sense, points=points,
-                    name=f"{channel}/{crit}",
-                )
-                ref = TABLE2_REFERENCE[(channel, crit)]
-                lo, hi = (found[0].lo, found[0].hi) if found else (math.nan, math.nan)
-                ref_lo, ref_hi = ref if ref else (math.nan, math.nan)
-                rows.append(
-                    {
-                        "channel": channel,
-                        "criterion": crit,
-                        "sides": sides,
-                        "empty": not found,
-                        "lo": lo,
-                        "hi": hi,
-                        "ref_lo": ref_lo,
-                        "ref_hi": ref_hi,
-                        "delta_lo": abs(lo - ref_lo) if ref and found else math.nan,
-                        "delta_hi": abs(hi - ref_hi) if ref and found else math.nan,
-                    }
-                )
+    for n, (channel, sides) in enumerate(scans):
+        for m, (crit, _, _) in enumerate(tests):
+            cell = found[2 * n + m]
+            ref = TABLE2_REFERENCE[(channel, crit)]
+            lo, hi = (cell[0].lo, cell[0].hi) if cell else (math.nan, math.nan)
+            ref_lo, ref_hi = ref if ref else (math.nan, math.nan)
+            rows.append(
+                {
+                    "channel": channel,
+                    "criterion": crit,
+                    "sides": sides,
+                    "empty": not cell,
+                    "lo": lo,
+                    "hi": hi,
+                    "ref_lo": ref_lo,
+                    "ref_hi": ref_hi,
+                    "delta_lo": abs(lo - ref_lo) if ref and cell else math.nan,
+                    "delta_hi": abs(hi - ref_hi) if ref and cell else math.nan,
+                }
+            )
     return rows
 
 

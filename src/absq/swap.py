@@ -175,23 +175,25 @@ def retrieval_success(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> tuple[boo
 
     Succeeds when both inputs are inside the absolute conditional-entropy
     class (S >= 1) yet some Bell branch leaves the outer pair outside it:
-    the retrieval grid on stacks of one.
+    the rule of retrieval_grid on one pair.  The Bell branches are formed
+    once, by swap_conditionals, which validates each live conditional
+    state; their spectra come from one eigensolver call.
     """
     _require_two_qubit(rho_ab, "rho_ab")
     _require_two_qubit(rho_bc, "rho_bc")
-    grid = _grid(rho_ab.matrix[None], rho_bc.matrix[None])
-    inputs = (float(grid.entropy_ab[0]), float(grid.entropy_bc[0]))
-    if not (grid.member_ab[0] and grid.member_bc[0]):
+    member, entropy = _acvenn(eigvals_hermitian(np.stack([rho_ab.matrix, rho_bc.matrix])), 2)
+    inputs = (float(entropy[0]), float(entropy[1]))
+    if not member.all():
         return False, RetrievalReport(inputs, (), (), "input not in the absolute class")
-    outcomes = swap_conditionals(rho_ab, rho_bc)
-    entropies = tuple(
-        None if o.conditional_state is None else float(s)
-        for o, s in zip(outcomes, grid.conditional_entropies[0, 0])
-    )
-    success = bool(grid.success[0, 0])
+    outcomes = tuple(swap_conditionals(rho_ab, rho_bc))
+    live = [o.conditional_state.matrix for o in outcomes if o.conditional_state is not None]
+    member, entropy = _acvenn(eigvals_hermitian(np.array(live)), 2)
+    left = iter(entropy.tolist())
+    entropies = tuple(None if o.conditional_state is None else next(left) for o in outcomes)
+    success = not member.all()
     reason = (
         "some conditional state left the absolute class"
         if success
         else "every conditional state stayed inside the absolute class"
     )
-    return success, RetrievalReport(inputs, tuple(outcomes), entropies, reason)
+    return success, RetrievalReport(inputs, outcomes, entropies, reason)

@@ -37,11 +37,20 @@ def find_boundary(f, bracket, target: float, tol: float = BISECTION_TOL) -> floa
     a, b = float(bracket[0]), float(bracket[1])
     if a > b:
         a, b = b, a
-    return _bisect(f, a, b, f(a), f(b), target, tol)
+    steps = _bisection(a, b, f(a), f(b), target, tol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as end:
+        return end.value
 
 
-def _bisect(f, a: float, b: float, f_a: float, f_b: float, target: float, tol: float) -> float:
-    """find_boundary on an ordered bracket whose end values are known."""
+def _bisection(a: float, b: float, f_a: float, f_b: float, target: float, tol: float):
+    """The bisection of f(x) = target on an ordered bracket whose end values
+    are known, as a generator: it yields each midpoint, is sent the value of
+    f there, and returns the boundary.  find_boundary runs one; intervals
+    runs all of its brackets side by side."""
     fa = f_a - target
     fb = f_b - target
     if fa == 0.0:
@@ -52,7 +61,7 @@ def _bisect(f, a: float, b: float, f_a: float, f_b: float, target: float, tol: f
         raise NoSignChange(f"f - target has the same sign at {a} and {b}")
     while b - a > tol:
         mid = 0.5 * (a + b)
-        fm = f(mid) - target
+        fm = (yield mid) - target
         if fm == 0.0:
             return mid
         if (fm > 0) == (fa > 0):
@@ -62,56 +71,94 @@ def _bisect(f, a: float, b: float, f_a: float, f_b: float, target: float, tol: f
     return 0.5 * (a + b)
 
 
+def _side_by_side(f, bisections) -> list[float]:
+    """The boundaries of (key, _bisection) pairs, run in lockstep: each step
+    is one call f(keys, xs) on the midpoints the open bisections ask for,
+    each x of the witness its key names.  A bracket without a sign change
+    raises NoSignChange before any step."""
+    found = [0.0] * len(bisections)
+    asking = []
+
+    def advance(n, key, steps, value):
+        try:
+            asking.append((n, key, steps, steps.send(value)))
+        except StopIteration as end:
+            found[n] = end.value
+
+    for n, (key, steps) in enumerate(bisections):
+        advance(n, key, steps, None)
+    while asking:
+        step, asking = asking, []
+        values = f([key for _, key, _, _ in step], [x for _, _, _, x in step])
+        for (n, key, steps, _), value in zip(step, values):
+            advance(n, key, steps, value)
+    return found
+
+
 def intervals(
     f,
+    criteria,
     lo: float,
     hi: float,
-    target: float,
-    sense: str,
     points: int = 2001,
     tol: float = BISECTION_TOL,
-    name: str = "",
-) -> list[Interval]:
-    """Maximal sub-intervals of [lo, hi] where f >= target (sense ">=") or
-    f <= target (sense "<="), endpoints refined by bisection.
+) -> list[list[Interval]]:
+    """Maximal sub-intervals of [lo, hi] on which each criterion holds,
+    endpoints refined by bisection.
 
-    f maps an array of x to the array of its values.  It is called once on
-    the whole grid, and bisection calls it on arrays of one x, starting
-    from the grid values it already has; an endpoint on the grid's edge
-    reports its grid value as its witness.  Returns an empty list when the
-    predicate never holds on the grid.
+    criteria is a sequence of (name, target, sense): the criterion holds
+    where its witness is >= target (sense ">=") or <= target (sense
+    "<=").  f(which, xs) maps an int array which, naming for each x of the
+    array xs the index of its criterion, to the array of the witnesses'
+    values.  f is called once on every criterion's grid, then the brackets
+    of all criteria are bisected side by side, one call per step on the
+    midpoints still to refine, and one last call gives the refined
+    endpoints' witnesses.  Every bisection starts from the grid values
+    already at hand, and an endpoint on the grid's edge reports its grid
+    value as its witness.  Returns one list of Interval per criterion,
+    empty where the criterion never holds on the grid.
     """
-    if sense not in (">=", "<="):
-        raise OutOfRange(f'sense must be ">=" or "<=", got {sense!r}')
+    criteria = list(criteria)
+    for _, _, sense in criteria:
+        if sense not in (">=", "<="):
+            raise OutOfRange(f'sense must be ">=" or "<=", got {sense!r}')
     xs = np.linspace(lo, hi, points)
-    vals = np.asarray(f(xs), dtype=float)
+    which = np.repeat(np.arange(len(criteria)), points)
+    vals = np.asarray(f(which, np.tile(xs, len(criteria))), dtype=float).reshape(-1, points)
 
-    def at(x):
-        return float(f(np.array([x]))[0])
+    def values(keys, x):
+        return np.asarray(f(np.array(keys, dtype=int), np.array(x, dtype=float)), dtype=float)
 
-    ok = vals >= target if sense == ">=" else vals <= target
+    # each run of grid points where a criterion holds, as (criterion, left
+    # end, right end); an end on the grid's edge is its (x, witness), any
+    # other end the index of its bisection
+    runs = []
+    bisections = []
 
-    def edge(k: int, inner: int):
-        # (endpoint, witness) between grid points k (outside) and inner
+    def end(c: int, k: int, inner: int):
+        # the end between grid points k (outside the run) and inner
         if k < 0 or k == points:
-            return xs[inner], vals[inner]
+            return xs[inner], vals[c, inner]
         a, b = sorted((k, inner), key=lambda n: (xs[n], n))
-        x = _bisect(at, float(xs[a]), float(xs[b]), vals[a], vals[b], target, tol)
-        return x, at(x)
+        bisections.append(
+            (c, _bisection(float(xs[a]), float(xs[b]), vals[c, a], vals[c, b], criteria[c][1], tol))
+        )
+        return len(bisections) - 1
 
-    found: list[Interval] = []
-    i = 0
-    while i < points:
-        if not ok[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < points and ok[j + 1]:
-            j += 1
-        left, w_left = edge(i - 1, i)
-        right, w_right = edge(j + 1, j)
-        found.append(Interval(float(left), float(right), name, float(w_left), float(w_right)))
-        i = j + 1
+    for c, (_, target, sense) in enumerate(criteria):
+        ok = vals[c] >= target if sense == ">=" else vals[c] <= target
+        flips = np.flatnonzero(np.diff(np.concatenate(([False], ok, [False]))))
+        for i, j in zip(flips[0::2].tolist(), (flips[1::2] - 1).tolist()):
+            runs.append((c, end(c, i - 1, i), end(c, j + 1, j)))
+
+    refined = _side_by_side(values, bisections)
+    witnesses = values([c for c, _ in bisections], refined) if bisections else []
+    found: list[list[Interval]] = [[] for _ in criteria]
+    for c, left, right in runs:
+        (x_lo, w_lo), (x_hi, w_hi) = (
+            e if isinstance(e, tuple) else (refined[e], witnesses[e]) for e in (left, right)
+        )
+        found[c].append(Interval(float(x_lo), float(x_hi), criteria[c][0], float(w_lo), float(w_hi)))
     return found
 
 

@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 import numpy as np
 
-from absq import channels, classify, cli, entropy, errors, states, swap
+from absq import classify, cli, entropy, errors, states, swap, sweep
 from absq.cli import SpecError, build_state, main, parse_spec, table2_rows, table3_rows, table4_rows
+from absq.tolerances import BISECTION_TOL
 
 
 class TestSpecGrammar:
@@ -371,36 +374,41 @@ class TestTableRowHelpers:
         assert all(r["beta_hi"] == 1.0 for r in rows)
 
     def test_table2_builds_each_distinct_state_once(self, monkeypatch):
-        # every stack of states comes from one transfer_stack call and is
-        # solved in one eigvals_hermitian call, in that order
-        stacks, solved = [], []
-        transfer_stack = channels.transfer_stack
+        # every call of the witness, on the grids of all five (channel,
+        # sides) scans or on one bisection step of all their brackets, is
+        # solved as one stack holding exactly the (scan, p) states not
+        # solved before; criterion 2k is AC and 2k + 1 is AF on scan k
+        calls, solved = [], []
+        intervals = sweep.intervals
         solve = cli.eigvals_hermitian
 
-        def built(name, ps):
-            stacks.append((name, [float(p) for p in ps]))
-            return transfer_stack(name, ps)
+        def traced(f, *args, **kwargs):
+            def witness(which, ps):
+                calls.append(list(zip((which // 2).tolist(), ps.tolist())))
+                return f(which, ps)
+
+            return intervals(witness, *args, **kwargs)
 
         def counted(m):
             solved.append(m.shape[0])
             return solve(m)
 
-        monkeypatch.setattr(channels, "transfer_stack", built)
+        monkeypatch.setattr(sweep, "intervals", traced)
         monkeypatch.setattr(cli, "eigvals_hermitian", counted)
         table2_rows(points=7)
-        assert solved == [len(ps) for _, ps in stacks]
-        # one (channel, sides) scan starts at each full grid, which the AC
-        # and AF scans share; its bisection points follow as stacks of one
+        # the grid, then each bisection step of brackets 1/6 wide, then the
+        # refined endpoints' witnesses
+        steps = math.ceil(math.log2((1 / 6) / BISECTION_TOL))
+        assert len(calls) == len(solved) == 1 + steps + 1 == 23
+        seen = set()
+        for keys, count in zip(calls, solved):
+            new = set(keys) - seen
+            assert count == len(new)
+            seen |= new
+        # the AC and AF scans share the grid states
         grid = list(np.linspace(0.0, 1.0, 7))
-        starts = [i for i, (_, ps) in enumerate(stacks) if ps == grid]
-        assert [stacks[i][0] for i in starts] == [
-            "bit_flip", "phase_flip", "depolarizing", "depolarizing", "phase_damping",
-        ]
-        assert starts[0] == 0
-        for lo, hi in zip(starts, starts[1:] + [len(stacks)]):
-            ps = [p for _, chunk in stacks[lo:hi] for p in chunk]
-            assert len(ps) == len(set(ps)) == sum(solved[lo:hi])
-            assert all(len(chunk) == 1 for _, chunk in stacks[lo + 1:hi])
+        assert calls[0] == [(c // 2, p) for c in range(10) for p in grid]
+        assert solved[0] == 5 * 7
 
     @pytest.mark.parametrize("rows", [table3_rows, table4_rows])
     def test_isotropic_tables_diagonalize_once_per_d(self, rows, monkeypatch):

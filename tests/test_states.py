@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from absq.states import (
     acin_two_param,
     bell_state,
     depolarized_schmidt,
+    depolarized_schmidt_stack,
     ghz_w_mix,
     isotropic,
     pure_schmidt,
@@ -94,6 +96,39 @@ def test_isotropic_closed_form_spectrum(d):
             reverse=True,
         )
         np.testing.assert_allclose(eigs, expected, atol=1e-11)
+
+
+# interior Schmidt angles: the endpoints are product states and warn
+THETAS = st.floats(1e-6, math.pi / 2 - 1e-6)
+
+
+class TestClosedFormSpectra:
+    """Solver spectra against the closed forms, within 1e-14."""
+
+    @settings(max_examples=40)
+    @given(theta=THETAS, p=st.floats(0.0, 1.0))
+    def test_depolarized_schmidt(self, theta, p):
+        eigs = eigvals_hermitian(depolarized_schmidt(theta, p).matrix)
+        np.testing.assert_allclose(eigs, [(1 + 3 * p) / 4] + [(1 - p) / 4] * 3, rtol=0, atol=1e-14)
+
+    @settings(max_examples=30)
+    @given(d=st.integers(2, 5), t=st.floats(0.0, 1.0))
+    def test_isotropic(self, d, t):
+        lo = -1.0 / (d * d - 1)
+        beta = lo + t * (1.0 - lo)
+        eigs = eigvals_hermitian(isotropic(d, beta).matrix)
+        rest = (1 - beta) / d**2
+        expected = sorted([beta + rest] + [rest] * (d * d - 1), reverse=True)
+        np.testing.assert_allclose(eigs, expected, rtol=0, atol=1e-14)
+
+    @settings(max_examples=20)
+    @given(members=st.lists(st.tuples(THETAS, st.floats(0.0, 1.0)), min_size=1, max_size=6))
+    def test_depolarized_schmidt_stack_equals_members(self, members):
+        thetas, ps = zip(*members)
+        stack = depolarized_schmidt_stack(thetas, ps)
+        assert stack.shape == (len(members), 4, 4)
+        for m, (theta, p) in zip(stack, members):
+            assert m.tobytes() == depolarized_schmidt(theta, p).matrix.tobytes()
 
 
 def test_isotropic_lambda_max_example():

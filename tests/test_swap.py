@@ -9,7 +9,8 @@ from absq.entropy import trace_power, von_neumann
 from absq.errors import DimensionMismatch
 from absq.linalg import partial_trace
 from absq.states import DensityMatrix, bell_state, depolarized_schmidt, pure_schmidt, random_density
-from absq.swap import OUTCOME_LABELS, retrieval_success, swap_conditionals
+from absq import swap
+from absq.swap import OUTCOME_LABELS, retrieval_grid, retrieval_success, swap_conditionals
 from absq.sweep import format_number
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -115,6 +116,59 @@ class TestRetrievalSuccess:
         rho = depolarized_schmidt(0.8, 0.5)
         ok, report = retrieval_success(rho, rho)
         assert sum(o.probability for o in report.outcomes) == pytest.approx(1.0, abs=1e-10)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (depolarized_schmidt(0.15, 0.72), depolarized_schmidt(0.15, 0.705882)),
+        (amp_damped(math.pi / 4, 0.68, 0.28), amp_damped(math.pi / 4, 0.40, 0.714286)),
+        (DensityMatrix(np.eye(4) / 4, (2, 2)), depolarized_schmidt(0.8, 0.5)),
+    ],
+    ids=["depolarized", "amplitude-damped", "mixed"],
+)
+def test_retrieval_report_from_one_branch_call(pair, monkeypatch):
+    # the Bell branches are formed once and each live conditional state is
+    # validated once; the report is bitwise swap_conditionals' outcomes and
+    # the retrieval grid's entropies and verdict on the pair
+    rho_ab, rho_bc = pair
+    branches, validated = [], []
+    form, validate = swap._branches, DensityMatrix.validate
+
+    def formed(ab, bc):
+        branches.append(1)
+        return form(ab, bc)
+
+    def checked(m):
+        validated.append(np.shape(m))
+        return validate(m)
+
+    monkeypatch.setattr(swap, "_branches", formed)
+    monkeypatch.setattr(DensityMatrix, "validate", staticmethod(checked))
+    ok, report = retrieval_success(rho_ab, rho_bc)
+    monkeypatch.undo()
+    outcomes = swap_conditionals(rho_ab, rho_bc)
+    live = [o.conditional_state is not None for o in outcomes]
+    assert branches == [1]
+    assert validated == [(4, 4)] * sum(live)
+    assert [(o.label, _bits(o.probability)) for o in report.outcomes] == [
+        (o.label, _bits(o.probability)) for o in outcomes
+    ]
+    for got, want in zip(report.outcomes, outcomes):
+        assert (got.conditional_state is None) == (want.conditional_state is None)
+        if want.conditional_state is not None:
+            assert _bits(got.conditional_state.matrix) == _bits(want.conditional_state.matrix)
+    grid = retrieval_grid(rho_ab.matrix[None], rho_bc.matrix[None])
+    assert _bits(report.input_entropies) == _bits([grid.entropy_ab[0], grid.entropy_bc[0]])
+    assert [s is None for s in report.conditional_entropies] == [not k for k in live]
+    assert _bits([s for s in report.conditional_entropies if s is not None]) == _bits(
+        grid.conditional_entropies[0, 0][live]
+    )
+    assert ok == grid.success[0, 0]
 
 
 class TestRetrievalMatchesSwapScan:

@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -8,10 +9,24 @@ from absq.errors import NoSignChange
 from absq.linalg import eigvals_hermitian
 from absq.states import acin_two_param, depolarized_schmidt, isotropic
 from absq.channels import double_apply, global_depolarize, make_channel
-from absq.sweep import Interval, find_boundary, intervals, write_csv_rows
+from absq.sweep import (
+    Interval,
+    _bisection,
+    _side_by_side,
+    find_boundary,
+    intervals,
+    write_csv_rows,
+)
 
 
-# witnesses for intervals: each maps an array of p to its values
+def one_criterion(f, lo, hi, target, sense, points):
+    """intervals on one criterion whose witness f maps an array of x to
+    its values."""
+    (found,) = intervals(lambda which, xs: f(xs), [("", target, sense)], lo, hi, points=points)
+    return found
+
+
+# witnesses for one_criterion: each maps an array of p to its values
 
 def acin_bitflip_entropy(ps):
     rho = acin_two_param(0.9, math.pi / 4)
@@ -53,50 +68,50 @@ class TestFindBoundary:
 
 class TestIntervals:
     def test_bit_flip_membership_interval(self):
-        found = intervals(acin_bitflip_entropy, 0, 1, 1.0, ">=", points=801)
+        found = one_criterion(acin_bitflip_entropy, 0, 1, 1.0, ">=", points=801)
         assert len(found) == 1
         assert found[0].lo == pytest.approx(0.0890506, abs=1e-4)
         assert found[0].hi == pytest.approx(0.910949, abs=1e-4)
 
     def test_phase_flip_lambda_interval(self):
-        found = intervals(acin_phaseflip_lmax, 0, 1, 0.5, "<=", points=801)
+        found = one_criterion(acin_phaseflip_lmax, 0, 1, 0.5, "<=", points=801)
         assert len(found) == 1
         assert found[0].lo == pytest.approx(1 / 3, abs=1e-4)
         assert found[0].hi == pytest.approx(2 / 3, abs=1e-4)
 
     def test_constant_below_target(self):
-        assert intervals(np.zeros_like, 0, 1, 1.0, ">=", points=51) == []
+        assert one_criterion(np.zeros_like, 0, 1, 1.0, ">=", points=51) == []
 
     def test_endpoint_witnesses(self):
-        found = intervals(lambda x: x, 0, 1, 0.25, ">=", points=101)
+        found = one_criterion(lambda x: x, 0, 1, 0.25, ">=", points=101)
         assert len(found) == 1
         assert found[0].witness_lo == pytest.approx(0.25, abs=1e-6)
         assert found[0].hi == 1.0
 
     def test_stable_under_grid_refinement(self):
-        coarse = intervals(acin_bitflip_entropy, 0, 1, 1.0, ">=", points=401)
-        fine = intervals(acin_bitflip_entropy, 0, 1, 1.0, ">=", points=1601)
+        coarse = one_criterion(acin_bitflip_entropy, 0, 1, 1.0, ">=", points=401)
+        fine = one_criterion(acin_bitflip_entropy, 0, 1, 1.0, ">=", points=1601)
         assert abs(coarse[0].lo - fine[0].lo) < 1e-6
         assert abs(coarse[0].hi - fine[0].hi) < 1e-6
 
     def test_multiple_intervals(self):
-        found = intervals(lambda x: np.sin(2 * math.pi * x), 0, 1, 0.5, ">=", points=401)
+        found = one_criterion(lambda x: np.sin(2 * math.pi * x), 0, 1, 0.5, ">=", points=401)
         assert len(found) == 1
-        found = intervals(lambda x: np.cos(2 * math.pi * x), 0, 1, 0.5, ">=", points=401)
+        found = one_criterion(lambda x: np.cos(2 * math.pi * x), 0, 1, 0.5, ">=", points=401)
         assert len(found) == 2
 
     def test_grid_values_are_not_reevaluated(self):
         # one interior crossing: one call on the 51-point grid, then one
-        # call on an array of one x per bisection midpoint and one for the
-        # refined endpoint's witness; the bracket ends and the grid-edge
-        # endpoint reuse their grid values
+        # call on the midpoint of the one bracket per bisection step and
+        # one for the refined endpoint's witness; the bracket ends and the
+        # grid-edge endpoint reuse their grid values
         calls = []
 
-        def f(x):
-            calls.append(len(x))
+        def f(which, x):
+            calls.append((which.tolist(), len(x)))
             return 1.0 - x * x
 
-        found = intervals(f, 0.0, 1.0, 0.5, ">=", points=51)
+        (found,) = intervals(f, [("", 0.5, ">=")], 0.0, 1.0, points=51)
         xs = np.linspace(0.0, 1.0, 51)
         evaluated = []
 
@@ -107,8 +122,141 @@ class TestIntervals:
         right = find_boundary(g, (xs[35], xs[36]), 0.5)
         steps = len(evaluated) - 2  # find_boundary evaluates the bracket ends too
         assert steps > 0
-        assert calls == [51] + [1] * (steps + 1)
+        assert calls == [([0] * 51, 51)] + [([0], 1)] * (steps + 1)
         assert found == [Interval(0.0, right, "", 1.0, 1.0 - right * right)]
+
+
+def _polynomial(roots, scale):
+    """x -> scale * prod(x - r) over the roots, with the same roundings on a
+    float and on each element of an array."""
+
+    def g(x):
+        out = scale + 0.0 * x
+        for r in roots:
+            out = out * (x - r)
+        return out
+
+    return g
+
+
+def _alone(g, xs, target, sense, name):
+    """intervals of one criterion as one bisection at a time would find
+    them: each run of grid points that hold, its inner ends refined by
+    find_boundary on their bracket and their witness evaluated once more."""
+    values = g(xs)
+    ok = values >= target if sense == ">=" else values <= target
+    found, i = [], 0
+    while i < len(xs):
+        if not ok[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(xs) and ok[j + 1]:
+            j += 1
+        ends = []
+        for outside, inner in ((i - 1, i), (j + 1, j)):
+            if outside < 0 or outside == len(xs):
+                ends.append((xs[inner], values[inner]))
+            else:
+                x = find_boundary(g, (float(xs[outside]), float(xs[inner])), target)
+                ends.append((x, g(x)))
+        (lo, w_lo), (hi, w_hi) = ends
+        found.append(Interval(float(lo), float(hi), name, float(w_lo), float(w_hi)))
+        i = j + 1
+    return found
+
+
+def _bits(found):
+    return [
+        (iv.predicate_name, *(np.float64(v).tobytes() for v in (iv.lo, iv.hi, iv.witness_lo, iv.witness_hi)))
+        for iv in found
+    ]
+
+
+# a root anywhere, on grid point k, or on the first midpoint of the
+# bracket between grid points k and k + 1
+ROOTS = st.one_of(
+    st.tuples(st.just("free"), st.floats(-0.2, 1.2)),
+    st.tuples(st.sampled_from(["grid", "midpoint"]), st.integers(0, 10**6)),
+)
+CRITERIA = st.lists(
+    st.tuples(
+        st.lists(ROOTS, max_size=4),
+        st.floats(0.5, 3.0),
+        st.sampled_from([-1.0, 1.0]),
+        st.sampled_from([">=", "<="]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=40)
+@given(points=st.integers(3, 30), criteria=CRITERIA, bad=st.integers(0, 10**6))
+@example(  # two crossings on one criterion, one of them on grid point 3
+    points=11, criteria=[([("grid", 3), ("free", 0.77)], 1.0, 1.0, ">=")], bad=0
+)
+@example(  # a crossing on a bracket's first midpoint
+    points=11, criteria=[([("midpoint", 6)], 2.0, -1.0, "<=")], bad=1
+)
+def test_side_by_side_refinement_equals_each_bracket_alone(points, criteria, bad):
+    xs = np.linspace(0.0, 1.0, points)
+    specs, witnesses = [], []
+    for n, (roots, size, sign, sense) in enumerate(criteria):
+        placed = [
+            r if kind == "free"
+            else float(xs[r % points]) if kind == "grid"
+            else 0.5 * (float(xs[r % (points - 1)]) + float(xs[r % (points - 1) + 1]))
+            for kind, r in roots
+        ]
+        specs.append((f"c{n}", 0.0, sense))
+        witnesses.append(_polynomial(placed, sign * size))
+    # and a criterion that never holds: -(x - 2)(x - 3) < 0 on [0, 1]
+    specs.append(("never", 0.0, ">="))
+    witnesses.append(_polynomial([2.0, 3.0], -1.0))
+
+    def f(which, x):
+        out = np.empty_like(x)
+        for c, g in enumerate(witnesses):
+            out[which == c] = g(x[which == c])
+        return out
+
+    found = intervals(f, specs, 0.0, 1.0, points=points)
+    assert found[-1] == []
+    for (name, target, sense), g, got in zip(specs, witnesses, found):
+        assert _bits(got) == _bits(_alone(g, xs, target, sense, name))
+
+    # a bracket whose ends have the same sign, here on the criterion that
+    # never holds, fails as it does alone, and before any step is taken
+    # for the brackets beside it
+    g = witnesses[-1]
+    a, b = sorted(float(x) for x in xs[[bad % points, (bad // points) % points]])
+    with pytest.raises(NoSignChange) as alone:
+        find_boundary(g, (a, b), 0.0)
+    calls = []
+    bisections = [
+        (0, _bisection(0.0, 1.0, -1.0, 1.0, 0.0, 1e-7)),
+        (1, _bisection(a, b, g(a), g(b), 0.0, 1e-7)),
+    ]
+    with pytest.raises(NoSignChange) as together:
+        _side_by_side(lambda keys, x: calls.append(x) or [0.0] * len(x), bisections)
+    assert str(together.value) == str(alone.value)
+    assert calls == []
+
+
+def test_side_by_side_examples_reach_every_exit():
+    # the explicit examples above end a bisection in each way: on a
+    # bracket end that sits on the target (grid point 3), at the width
+    # tolerance (the crossing at 0.77), and on a midpoint that hits it
+    xs = np.linspace(0.0, 1.0, 11)
+    g = _polynomial([float(xs[3]), 0.77], 1.0)
+    found = one_criterion(g, 0.0, 1.0, 0.0, ">=", points=11)
+    assert [(iv.lo, iv.hi) for iv in found[:1]] == [(0.0, float(xs[3]))]
+    assert len(found) == 2 and found[1].hi == 1.0
+    assert 0 < abs(found[1].lo - 0.77) <= 1e-7
+    mid = 0.5 * (float(xs[6]) + float(xs[7]))
+    g = _polynomial([mid], -2.0)
+    assert one_criterion(g, 0.0, 1.0, 0.0, "<=", points=11) == [Interval(mid, 1.0, "", 0.0, g(1.0))]
 
 
 class TestScans:
