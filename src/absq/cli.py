@@ -272,11 +272,11 @@ def table2_rows(points: int = 2001):
     return rows
 
 
-def _depolarized_isotropic(d: int, beta: float):
-    """lambda -> spectrum of the isotropic state after global depolarizing
-    with weight lambda; the state is diagonalized once."""
-    eigs = eigvals_hermitian(states.isotropic(d, beta).matrix)
-    return lambda lam: channels.global_depolarize_spectrum(eigs, lam)
+def _isotropic_spectrum(d: int, beta: float) -> np.ndarray:
+    """Spectrum of the isotropic state, diagonalized once per table row;
+    channels.global_depolarize_spectrum maps it to the depolarized state's
+    at each lambda."""
+    return eigvals_hermitian(states.isotropic(d, beta).matrix)
 
 
 def table3_rows():
@@ -284,10 +284,10 @@ def table3_rows():
     family at beta = 0.8, for local dimensions 2..5."""
     rows = []
     for d, ref in TABLE3_REFERENCE.items():
-        spectrum = _depolarized_isotropic(d, 0.8)
+        eigs = _isotropic_spectrum(d, 0.8)
 
-        def witness(lam, _spectrum=spectrum):
-            return entropy.spectrum_entropy(_spectrum(lam))
+        def witness(lam, _eigs=eigs):
+            return entropy.spectrum_entropy(channels.global_depolarize_spectrum(_eigs, lam))
 
         lam_star = sweep.find_boundary(witness, (0.0, 1.0), math.log2(d))
         rows.append(
@@ -306,10 +306,10 @@ def table4_rows(terms: int = 10):
     """
     rows = []
     for d, ref in TABLE4_REFERENCE.items():
-        spectrum = _depolarized_isotropic(d, 1.0)
+        eigs = _isotropic_spectrum(d, 1.0)
 
-        def witness(lam, _spectrum=spectrum):
-            return entropy.spectrum_series_flat(_spectrum(lam), terms)
+        def witness(lam, _eigs=eigs):
+            return entropy.spectrum_series_flat(channels.global_depolarize_spectrum(_eigs, lam), terms)
 
         try:
             lam_star = sweep.find_boundary(witness, (0.0, 1.0), math.log2(d))

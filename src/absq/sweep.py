@@ -37,11 +37,11 @@ def find_boundary(f, bracket, target: float, tol: float = BISECTION_TOL) -> floa
     a, b = float(bracket[0]), float(bracket[1])
     if a > b:
         a, b = b, a
-    steps = _bisection(a, b, f(a), f(b), target, tol)
+    send = _bisection(a, b, f(a), f(b), target, tol).send
     try:
-        x = next(steps)
+        x = send(None)
         while True:
-            x = steps.send(f(x))
+            x = send(f(x))
     except StopIteration as end:
         return end.value
 
@@ -110,10 +110,10 @@ def intervals(
     where its witness is >= target (sense ">=") or <= target (sense
     "<=").  f(which, xs) maps an int array which, naming for each x of the
     array xs the index of its criterion, to the array of the witnesses'
-    values.  f is called once on every criterion's grid, then the brackets
-    of all criteria are bisected side by side, one call per step on the
-    midpoints still to refine, and one last call gives the refined
-    endpoints' witnesses.  Every bisection starts from the grid values
+    values.  f is called once on the grids of all criteria together, then
+    the brackets of all criteria are bisected side by side, one call per
+    step on the midpoints still to refine, and one last call gives the
+    refined endpoints' witnesses.  Every bisection starts from the grid values
     already at hand, and an endpoint on the grid's edge reports its grid
     value as its witness.  Returns one list of Interval per criterion,
     empty where the criterion never holds on the grid.
