@@ -272,19 +272,13 @@ def table2_rows(points: int = 2001):
     return rows
 
 
-def _isotropic_spectrum(d: int, beta: float) -> np.ndarray:
-    """Spectrum of the isotropic state, diagonalized once per table row;
-    channels.global_depolarize_spectrum maps it to the depolarized state's
-    at each lambda."""
-    return eigvals_hermitian(states.isotropic(d, beta).matrix)
-
-
 def table3_rows():
     """Exact-entropy membership boundary of the depolarized isotropic
     family at beta = 0.8, for local dimensions 2..5."""
     rows = []
     for d, ref in TABLE3_REFERENCE.items():
-        eigs = _isotropic_spectrum(d, 0.8)
+        # diagonalized once; global depolarizing maps the spectrum affinely
+        eigs = eigvals_hermitian(states.isotropic(d, 0.8).matrix)
 
         def witness(lam, _eigs=eigs):
             return entropy.spectrum_entropy(channels.global_depolarize_spectrum(_eigs, lam))
@@ -306,7 +300,8 @@ def table4_rows(terms: int = 10):
     """
     rows = []
     for d, ref in TABLE4_REFERENCE.items():
-        eigs = _isotropic_spectrum(d, 1.0)
+        # diagonalized once; global depolarizing maps the spectrum affinely
+        eigs = eigvals_hermitian(states.isotropic(d, 1.0).matrix)
 
         def witness(lam, _eigs=eigs):
             return entropy.spectrum_series_flat(channels.global_depolarize_spectrum(_eigs, lam), terms)
