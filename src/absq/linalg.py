@@ -5,6 +5,9 @@ Every absolute-class verdict depends only on a spectrum, so the module
 computes eigenvalues and never eigenvectors.  The eigensolver is a cyclic
 Jacobi iteration with complex plane rotations: for the <= 64x64 Hermitian
 matrices handled here robustness and determinism matter more than speed.
+A stack converges together: between sweeps one vectorized convergence test
+runs over the whole stack, and only the members that fail it are swept
+again, so a member's eigenvalues still do not depend on its stack.
 """
 
 from __future__ import annotations
@@ -29,16 +32,16 @@ def _require_square(m: np.ndarray) -> int:
 
 def _hermitian_defect(m: np.ndarray) -> np.ndarray:
     """max |M - M^dagger| of each member of a stack (..., n, n); NaN for a
-    member with a NaN entry."""
+    member with a NaN entry, and NaN or inf for one with an infinite entry."""
     return np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 def _check_hermitian(m: np.ndarray) -> None:
     """Raise NotHermitian when a member of the stack m (..., n, n) has a
-    defect above the tolerance; the message names the first such member's
-    defect."""
+    defect above the tolerance or a non-finite entry; the message names the
+    first such member's defect."""
     asym = _hermitian_defect(m)
-    bad = asym > HERMITICITY_TOL
+    bad = ~(asym <= HERMITICITY_TOL)  # NaN fails too
     if bad.any():
         worst = float(asym.flat[np.argmax(bad)])
         raise NotHermitian(f"max |M - M^dagger| = {worst:.3e} exceeds {HERMITICITY_TOL}")
@@ -77,24 +80,12 @@ def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
     a[q, q] = a[q, q].real
 
 
-def _jacobi(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    a = np.array((m + m.conj().T) / 2.0, dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real])
-    target = JACOBI_OFFDIAG_TOL * max(1.0, float(np.linalg.norm(a)))
-    # elements below skip never push the off-diagonal norm back above target
-    skip = target / (2.0 * n)
-    for _ in range(_MAX_SWEEPS):
-        if np.linalg.norm(a - np.diag(np.diag(a))) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > skip:
-                    _jacobi_rotate(a, p, q)
-    else:  # pragma: no cover - cyclic Jacobi converges long before this
-        raise RuntimeError("Jacobi iteration failed to converge")
-    return np.diag(a).real.copy()
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of every member of a stack (k, n, n), bit for bit: the
+    same two dot products per member, over the real and imaginary parts."""
+    flat = a.reshape(len(a), a.shape[-1] ** 2)
+    re, im = flat.real, flat.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
@@ -102,18 +93,40 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
     (..., n, n) of them, sorted non-increasing along the last axis.
 
     Cyclic Jacobi sweeps run on each member until its off-diagonal
-    Frobenius norm falls below the configured threshold, so the result is
-    deterministic for a given input and a member's eigenvalues do not
-    depend on the stack around it.  Raises NotHermitian when some member
-    has max |M - M^dagger| above the Hermiticity tolerance.
+    Frobenius norm falls below the configured threshold.  The whole stack
+    converges together: before each sweep one vectorized test over the
+    stack picks the members still above their threshold, and the sweep
+    runs on those only.  A converged member is not rotated again, and one
+    that starts diagonal is never swept.  Each member keeps its own
+    threshold, convergence test and sequence of rotations, bit for bit as
+    when it is solved alone, so the result is deterministic for a given
+    input and a member's eigenvalues do not depend on the stack around it.
+    Raises NotHermitian when some member has max |M - M^dagger| above the
+    Hermiticity tolerance or a non-finite entry.
     """
     m = np.asarray(m, dtype=complex)
     n = _require_square(m)
     _check_hermitian(m)
-    members = m.reshape(-1, n, n)
-    eigs = np.empty(members.shape[:2])
-    for i, member in enumerate(members):
-        eigs[i] = _jacobi(member)
+    a = m.reshape(-1, n, n)
+    a = (a + np.swapaxes(a.conj(), 1, 2)) / 2.0
+    target = JACOBI_OFFDIAG_TOL * np.maximum(1.0, _frobenius(a))
+    # elements below skip never push the off-diagonal norm back above target
+    skip = (target / (2.0 * n)).tolist()
+    off_diagonal = 1.0 - np.eye(n)
+    for _ in range(_MAX_SWEEPS):
+        rotating = np.flatnonzero(~(_frobenius(a * off_diagonal) <= target))
+        if not rotating.size:
+            break
+        for i in rotating.tolist():
+            member, floor = a[i], skip[i]
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    # item() gives a Python complex: the same abs, sooner
+                    if abs(member.item(p, q)) > floor:
+                        _jacobi_rotate(member, p, q)
+    else:  # pragma: no cover - cyclic Jacobi converges long before this
+        raise RuntimeError("Jacobi iteration failed to converge")
+    eigs = np.diagonal(a, axis1=1, axis2=2).real
     return np.sort(eigs.reshape(m.shape[:-1]), axis=-1)[..., ::-1]
 
 
