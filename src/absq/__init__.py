@@ -3,7 +3,7 @@ states, the noise channels that push states into them, and the swapping
 network that probabilistically pulls states back out."""
 
 from . import bloch, channels, classify, entropy, linalg, states, swap, sweep
-from .channels import KrausChannel, apply, double_apply, global_depolarize, make_channel
+from .channels import KrausChannel, double_apply, global_depolarize, make_channel
 from .classify import (
     ClassificationReport,
     acre2nn_bloch,

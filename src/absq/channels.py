@@ -115,14 +115,6 @@ def transfer_stack(name: str, ps) -> np.ndarray:
     return _transfer(_kraus_stack(name, ps))
 
 
-def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """sum_i K_i rho K_i^dagger on a state of matching dimension."""
-    if ch.dim != rho.dim:
-        raise DimensionMismatch(f"channel dim {ch.dim} != state dim {rho.dim}")
-    out = np.einsum("abcd,cd->ab", ch.transfer, rho.matrix)
-    return DensityMatrix(out, rho.dims)
-
-
 def double_apply(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply ch_a to subsystem A and ch_b to subsystem B of a two-qubit state."""
     if rho.dims != (2, 2):

@@ -1,12 +1,12 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from absq.channels import (
     CHANNEL_NAMES,
     KrausChannel,
-    apply,
     double_apply,
     global_depolarize,
     global_depolarize_spectrum,
@@ -17,8 +17,10 @@ from absq.linalg import eigvals_hermitian
 from absq.states import DensityMatrix, isotropic, pure_schmidt, random_density
 
 
-def plus_state():
-    return DensityMatrix(np.full((2, 2), 0.5, dtype=complex), (2,))
+def on_a(ch, rho):
+    """ch on subsystem A of a two-qubit state, the identity on B: the same
+    channel at p = 0 is the identity for every channel name."""
+    return double_apply(ch, make_channel(ch.name, 0.0), rho)
 
 
 def amp_damped(theta, p1, p2):
@@ -47,14 +49,15 @@ class TestMakeChannel:
 
     def test_phase_damping_p0_is_identity(self, rng):
         ch = make_channel("phase_damping", 0.0)
-        rho = random_density((2,), rng)
-        np.testing.assert_allclose(apply(ch, rho).matrix, rho.matrix, atol=1e-12)
+        rho = random_density((2, 2), rng)
+        np.testing.assert_allclose(double_apply(ch, ch, rho).matrix, rho.matrix, atol=1e-12)
 
     def test_amplitude_damping_p1_pumps_ground(self):
+        # |11> decays to |00> when both qubits are fully damped
         ch = make_channel("amplitude_damping", 1.0)
-        excited = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), (2,))
+        excited = DensityMatrix(np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex), (2, 2))
         np.testing.assert_allclose(
-            apply(ch, excited).matrix, np.diag([1.0, 0.0]), atol=1e-12
+            double_apply(ch, ch, excited).matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12
         )
 
     def test_depolarizing_weights(self):
@@ -77,26 +80,34 @@ class TestMakeChannel:
 
 
 class TestApply:
+    # one channel on subsystem A of a two-qubit state, through double_apply
+
     def test_flip_p0_identity(self, rng):
-        rho = random_density((2,), rng)
+        rho = random_density((2, 2), rng)
         for name in ("phase_flip", "bit_flip"):
-            out = apply(make_channel(name, 0.0), rho)
+            out = on_a(make_channel(name, 0.0), rho)
             np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_phase_flip_half_dephases_plus(self):
-        # oracle: explicit 2x2 Kraus sum, (|+><+| + Z|+><+|Z)/2 = I/2
-        out = apply(make_channel("phase_flip", 0.5), plus_state())
-        np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
+        # oracle: explicit 2x2 Kraus sum, (|+><+| + Z|+><+|Z)/2 = I/2, on A of |+0>
+        zero = np.diag([1.0, 0.0])
+        rho = DensityMatrix(np.kron(np.full((2, 2), 0.5), zero).astype(complex), (2, 2))
+        out = on_a(make_channel("phase_flip", 0.5), rho)
+        np.testing.assert_allclose(out.matrix, np.kron(np.eye(2) / 2, zero), atol=1e-12)
 
     def test_trace_preserved(self, rng):
         for name in CHANNEL_NAMES:
-            rho = random_density((2,), rng)
-            out = apply(make_channel(name, 0.37), rho)
+            rho = random_density((2, 2), rng)
+            out = on_a(make_channel(name, 0.37), rho)
             assert abs(np.trace(out.matrix) - 1) <= 1e-12
 
     def test_dimension_guard(self, rng):
-        with pytest.raises(DimensionMismatch):
-            apply(make_channel("bit_flip", 0.5), random_density((2, 2), rng))
+        ch = make_channel("bit_flip", 0.5)
+        with pytest.raises(DimensionMismatch, match="expected a \\(2, 2\\) state"):
+            double_apply(ch, ch, random_density((2,), rng))
+        qutrit = KrausChannel("qutrit identity", 0.0, (np.eye(3),))
+        with pytest.raises(DimensionMismatch, match="single-qubit channels"):
+            double_apply(qutrit, ch, random_density((2, 2), rng))
 
 
 class TestDoubleApply:
@@ -181,11 +192,13 @@ class TestTransferTensor:
     @pytest.mark.parametrize("name", CHANNEL_NAMES)
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_apply_matches_kraus_sum(self, name, p, rng):
+        # one side only: the Kraus operators are K (x) I
         ch = make_channel(name, p)
+        ops = [np.kron(k, np.eye(2)) for k in ch.kraus_ops]
         for _ in range(5):
-            rho = random_density((2,), rng)
-            expected = kraus_sum(ch.kraus_ops, rho.matrix)
-            np.testing.assert_allclose(apply(ch, rho).matrix, expected, rtol=0, atol=1e-14)
+            rho = random_density((2, 2), rng)
+            expected = kraus_sum(ops, rho.matrix)
+            np.testing.assert_allclose(on_a(ch, rho).matrix, expected, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("name", CHANNEL_NAMES)
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
@@ -263,6 +276,14 @@ class TestGlobalDepolarizeSpectrum:
             mapped = global_depolarize_spectrum(eigvals_hermitian(rho.matrix), p)
             direct = eigvals_hermitian(global_depolarize(rho, p).matrix)
             np.testing.assert_allclose(mapped, direct, rtol=0, atol=1e-14)
+
+    @settings(max_examples=20)
+    @given(d=st.integers(2, 4), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_eigensolve_property(self, d, p, seed):
+        rho = random_density((d, d), seed)
+        mapped = global_depolarize_spectrum(eigvals_hermitian(rho.matrix), p)
+        direct = eigvals_hermitian(global_depolarize(rho, p).matrix)
+        np.testing.assert_allclose(mapped, direct, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
     def test_range_check(self, p):

@@ -5,6 +5,7 @@ import pytest
 
 from absq.entropy import trace_power
 from absq.errors import DimensionMismatch, NotHermitian
+from absq import linalg
 from absq.linalg import eigvals_hermitian, haar_unitary, partial_trace
 from absq.states import DensityMatrix, bell_state, ghz_w_mix, pure_schmidt, random_density
 
@@ -63,6 +64,30 @@ class TestEigHermitian:
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NotHermitian, match="max"):
             eigvals_hermitian(m)
+
+    def test_sweep_cap_raises_for_any_member(self, rng, monkeypatch):
+        # one sweep is enough for a diagonal member, not for a dense one
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        diagonal = np.diag([3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(eigvals_hermitian(np.stack([diagonal] * 2)), [[3, 2, 1]] * 2)
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            eigvals_hermitian(np.stack([diagonal, random_hermitian(3, rng)]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "where", [[(1, 1)], [(0, 2)], [(0, 2), (2, 0)]], ids=["diagonal", "one-sided", "pair"]
+    )
+    def test_rejects_non_finite(self, value, where, rng):
+        # on the diagonal, on one off-diagonal entry, and on a Hermitian
+        # pair of them; alone and between good members of a stack
+        good = [random_density((3,), rng).matrix for _ in range(2)]
+        bad = good[0].copy()
+        for idx in where:
+            bad[idx] = value
+        with np.errstate(invalid="ignore"):  # inf - inf in the defect
+            for m in (bad, np.stack([good[0], bad, good[1]])):
+                with pytest.raises(NotHermitian, match=r"= (nan|inf) exceeds"):
+                    eigvals_hermitian(m)
 
 
 class TestPartialTrace:

@@ -8,6 +8,7 @@ matrix off its transfer tensors over the whole parameter range.
 """
 
 import math
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -23,6 +24,7 @@ from absq.channels import (
 from absq.classify import _acre2nn, _acrenn, _acvenn, _afef, is_acvenn
 from absq.entropy import spectrum_entropy, spectrum_power, spectrum_series_flat
 from absq.errors import AbsqError
+from absq import linalg
 from absq.linalg import eigvals_hermitian, haar_unitary
 from absq.states import DensityMatrix, bell_state, random_density
 from absq import swap
@@ -40,21 +42,64 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _hermitian_member(n: int, rng) -> np.ndarray:
+    """A dense, rank-deficient, exactly diagonal or X-type Hermitian matrix:
+    the diagonal ones have converged before the first sweep, and the X-type
+    ones (diagonal plus anti-diagonal) after one rotation per anti-diagonal
+    pair."""
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        return random_hermitian(n, rng)
+    if kind == 1:  # repeated eigenvalues behind a rotation
+        u = haar_unitary(n, rng)
+        return u @ np.diag(rng.integers(0, 2, size=n).astype(float)) @ u.conj().T
+    m = np.diag(rng.normal(size=n)).astype(complex)
+    if kind == 3:
+        i = np.arange(n // 2)
+        m[i, n - 1 - i] = rng.normal(size=i.size) + 1j * rng.normal(size=i.size)
+        m[n - 1 - i, i] = m[i, n - 1 - i].conj()
+    return m
+
+
 @PROPERTY
 @given(n=st.integers(1, 5), lead=st.sampled_from([(1,), (4,), (2, 3)]), seed=SEEDS)
 def test_eigvals_stack_equals_members(n, lead, seed):
     rng = np.random.default_rng(seed)
     stack = np.empty(lead + (n, n), dtype=complex)
     for idx in np.ndindex(*lead):
-        if rng.uniform() < 0.5:
-            stack[idx] = random_hermitian(n, rng)
-        else:  # repeated eigenvalues behind a rotation
-            u = haar_unitary(n, rng)
-            stack[idx] = u @ np.diag(rng.integers(0, 2, size=n).astype(float)) @ u.conj().T
+        stack[idx] = _hermitian_member(n, rng)
     eigs = eigvals_hermitian(stack)
     assert eigs.shape == lead + (n,)
     for idx in np.ndindex(*lead):
         assert _same(eigs[idx], eigvals_hermitian(stack[idx]))
+
+
+def _rotations(m) -> int:
+    """Jacobi rotations eigvals_hermitian makes on m."""
+    calls = []
+    rotate = linalg._jacobi_rotate
+
+    def counted(a, p, q):
+        calls.append((p, q))
+        rotate(a, p, q)
+
+    with mock.patch.object(linalg, "_jacobi_rotate", counted):
+        eigvals_hermitian(m)
+    return len(calls)
+
+
+@PROPERTY
+@given(n=st.integers(2, 6), count=st.integers(2, 8), seed=SEEDS)
+def test_stack_rotates_as_often_as_its_members_alone(n, count, seed):
+    # a converged member is never rotated again, and one that starts
+    # diagonal is never rotated at all
+    rng = np.random.default_rng(seed)
+    stack = np.array([_hermitian_member(n, rng) for _ in range(count)])
+    alone = [_rotations(m) for m in stack]
+    assert _rotations(stack) == sum(alone)
+    for m, rotations in zip(stack, alone):
+        if not np.any(m - np.diag(np.diag(m))):
+            assert rotations == 0
 
 
 def _candidate(kind: str, rng) -> np.ndarray:
