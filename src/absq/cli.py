@@ -452,6 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once at import and never changed: parse_args leaves a parser as it
+# was, and the table commands look their row functions up when they run
+PARSER = build_parser()
+
+
 def _is_number_list(text: str) -> bool:
     try:
         [float(part) for part in text.split(",")]
@@ -474,8 +479,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    args = PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except AbsqError as exc:

@@ -7,11 +7,15 @@ Jacobi iteration with complex plane rotations: for the <= 64x64 Hermitian
 matrices handled here robustness and determinism matter more than speed.
 A stack converges together: between sweeps one vectorized convergence test
 runs over the whole stack, and only the members that fail it are swept
-again, so a member's eigenvalues still do not depend on its stack.
+again.  Two or more such members sweep in lockstep, one stacked rotation per
+(p, q) for those whose a_pq is above their skip level; the stacked rotation
+is the scalar one bit for bit, so a member's eigenvalues still do not depend
+on its stack.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 
@@ -33,7 +37,9 @@ def _require_square(m: np.ndarray) -> int:
 def _hermitian_defect(m: np.ndarray) -> np.ndarray:
     """max |M - M^dagger| of each member of a stack (..., n, n); NaN for a
     member with a NaN entry, and NaN or inf for one with an infinite entry."""
-    return np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf, a NaN defect: no warning
+        diff = m - np.swapaxes(m.conj(), -1, -2)
+    return np.abs(diff).max(axis=(-2, -1), initial=0.0)
 
 
 def _check_hermitian(m: np.ndarray) -> None:
@@ -80,6 +86,53 @@ def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
     a[q, q] = a[q, q].real
 
 
+def _jacobi_rotate_stack(a: np.ndarray, p: int, q: int, r: np.ndarray) -> None:
+    # _jacobi_rotate on every member of the stack a (k, n, n) at once, bit for
+    # bit, given r = |a[:, p, q]| as np.hypot of its parts (which rounds as
+    # abs of a complex scalar does; np.abs of a complex array does not)
+    phase = a[:, p, q] / r
+    tau = ((a[:, q, q].real - a[:, p, p].real) / (2.0 * r)).tolist()
+    # math.hypot as in _jacobi_rotate (np.hypot rounds differently near
+    # |tau| = 1); app == aqq gives tau = +0.0 and so t = 1
+    t = np.array([math.copysign(1.0, x) / (abs(x) + math.hypot(1.0, x)) for x in tau])
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    s_ph = (s * phase)[:, None]
+    s_ph_conj = (s * phase.conjugate())[:, None]
+    # c + 0j: the cast each product with a real c would make
+    c = c.astype(complex)[:, None]
+
+    col_p = a[:, :, p].copy()
+    col_q = a[:, :, q].copy()
+    a[:, :, p] = c * col_p - s_ph_conj * col_q
+    a[:, :, q] = s_ph * col_p + c * col_q
+    row_p = a[:, p, :].copy()
+    row_q = a[:, q, :].copy()
+    a[:, p, :] = c * row_p - s_ph * row_q
+    a[:, q, :] = s_ph_conj * row_p + c * row_q
+    a[:, p, q] = 0.0
+    a[:, q, p] = 0.0
+    a[:, p, p] = a[:, p, p].real
+    a[:, q, q] = a[:, q, q].real
+
+
+def _jacobi_step(a: np.ndarray, p: int, q: int, floors: np.ndarray) -> None:
+    """Step (p, q) of a cyclic sweep over the stack a (k, n, n), in place:
+    the members whose |a[p, q]| exceeds their floor are rotated together, the
+    others are left as they are."""
+    apq = a[:, p, q]
+    r = np.hypot(apq.real, apq.imag)
+    hit = r > floors
+    count = np.count_nonzero(hit)
+    if count == len(a):
+        _jacobi_rotate_stack(a, p, q, r)
+    elif count:
+        rows = np.flatnonzero(hit)
+        picked = a[rows]
+        _jacobi_rotate_stack(picked, p, q, r[rows])
+        a[rows] = picked
+
+
 def _frobenius(a: np.ndarray) -> np.ndarray:
     """np.linalg.norm of every member of a stack (k, n, n), bit for bit: the
     same two dot products per member, over the real and imaginary parts."""
@@ -96,13 +149,17 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
     Frobenius norm falls below the configured threshold.  The whole stack
     converges together: before each sweep one vectorized test over the
     stack picks the members still above their threshold, and the sweep
-    runs on those only.  A converged member is not rotated again, and one
-    that starts diagonal is never swept.  Each member keeps its own
-    threshold, convergence test and sequence of rotations, bit for bit as
-    when it is solved alone, so the result is deterministic for a given
-    input and a member's eigenvalues do not depend on the stack around it.
-    Raises NotHermitian when some member has max |M - M^dagger| above the
-    Hermiticity tolerance or a non-finite entry.
+    runs on those only.  When two or more members are rotating they sweep
+    in lockstep: at each (p, q) of the cyclic order one vectorized skip test
+    picks the members whose |a_pq| is above their skip level, and one
+    stacked rotation updates all of them; a lone rotating member is swept
+    by the scalar rotation.  A converged member is not rotated again, and
+    one that starts diagonal is never swept.  Each member keeps its own
+    threshold, convergence test and sequence of rotations, and the stacked
+    rotation is the scalar one bit for bit, so the result is deterministic
+    for a given input and a member's eigenvalues do not depend on the stack
+    around it.  Raises NotHermitian when some member has max |M - M^dagger|
+    above the Hermiticity tolerance or a non-finite entry.
     """
     m = np.asarray(m, dtype=complex)
     n = _require_square(m)
@@ -111,7 +168,9 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
     a = (a + np.swapaxes(a.conj(), 1, 2)) / 2.0
     target = JACOBI_OFFDIAG_TOL * np.maximum(1.0, _frobenius(a))
     # elements below skip never push the off-diagonal norm back above target
-    skip = (target / (2.0 * n)).tolist()
+    skip = target / (2.0 * n)
+    floors = skip.tolist()
+    pairs = list(itertools.combinations(range(n), 2))  # the cyclic order
     off_diagonal = 1.0 - np.eye(n)
     for _ in range(_MAX_SWEEPS):
         # a NaN norm never converges, so such a member ends in the error below
@@ -119,13 +178,17 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
         rotating = [i for i, done in enumerate(converged) if not done]
         if not rotating:
             break
-        for i in rotating:
-            member, floor = a[i], skip[i]
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    # item() gives a Python complex: the same abs, sooner
-                    if abs(member.item(p, q)) > floor:
-                        _jacobi_rotate(member, p, q)
+        if len(rotating) == 1:
+            member, floor = a[rotating[0]], floors[rotating[0]]
+            for p, q in pairs:
+                # item() gives a Python complex: the same abs, sooner
+                if abs(member.item(p, q)) > floor:
+                    _jacobi_rotate(member, p, q)
+        else:
+            swept, swept_floors = a[rotating], skip[rotating]
+            for p, q in pairs:
+                _jacobi_step(swept, p, q, swept_floors)
+            a[rotating] = swept
     else:  # cyclic Jacobi converges long before this
         raise RuntimeError("Jacobi iteration failed to converge")
     eigs = np.diagonal(a, axis1=1, axis2=2).real

@@ -71,8 +71,7 @@ class DensityMatrix:
         finite = np.isfinite(members).all(axis=(1, 2))
         traces = np.trace(members, axis1=1, axis2=2)
         off = traces - 1.0
-        with np.errstate(invalid="ignore"):  # inf - inf in a non-finite member
-            hermitian = _hermitian_defect(members) <= HERMITICITY_TOL
+        hermitian = _hermitian_defect(members) <= HERMITICITY_TOL
         # np.hypot, not np.abs: it rounds as Python's abs(complex) does
         failed = ~(finite & hermitian & (np.hypot(off.real, off.imag) <= TRACE_TOL))
         rejected = failed.any()

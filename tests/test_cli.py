@@ -361,6 +361,42 @@ class TestBadArguments:
         assert len(path.read_text().splitlines()) == 2
 
 
+class TestParser:
+    def test_one_parser_for_every_invocation(self, monkeypatch, tmp_path, capsys):
+        # main parses every command line with the parser built at import;
+        # one invocation after another, usage errors included, each runs
+        # as it does under a freshly built parser
+        out = str(tmp_path / "out.csv")
+        argvs = [
+            ["classify", "--state", "bell:index=0", "--alpha", "0.5,3", "--csv", out],
+            ["table3", "--out", out],
+            ["table4", "--terms", "0", "--out", out],
+            ["swap-scan", "--family", "amplitude-damping", "--resolution", "2", "--out", out],
+            ["classify", "--state", "ghzw:p=0.5", "--marginal", "13"],
+            ["table2", "--points", "2", "--out", out],
+            ["swap-scan", "--family", "global-depolarizing", "--resolution", "2", "--p2", "-1e-3", "--out", out],
+            ["classify", "--state", "iso:d=3,beta=0.5", "--channel", "global-depolarizing:p=0.3"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # an argparse usage error
+                code = exc.code
+            written = tmp_path.joinpath("out.csv")
+            data = written.read_bytes() if written.exists() else None
+            written.unlink(missing_ok=True)
+            return code, capsys.readouterr(), data
+
+        module_parser = cli.PARSER
+        for argv in argvs:
+            ran = run(argv)
+            with monkeypatch.context() as patched:
+                patched.setattr(cli, "PARSER", cli.build_parser())
+                assert run(argv) == ran, argv
+            assert cli.PARSER is module_parser
+
+
 class TestTableRowHelpers:
     def test_table3_matches_known_boundaries(self):
         rows = table3_rows()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,12 +67,15 @@ class TestEigHermitian:
             eigvals_hermitian(m)
 
     def test_sweep_cap_raises_for_any_member(self, rng, monkeypatch):
-        # one sweep is enough for a diagonal member, not for a dense one
+        # one sweep is enough for a diagonal member, not for a dense one,
+        # whether it sweeps alone or in lockstep with other dense members
         monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
         diagonal = np.diag([3.0, 2.0, 1.0])
         np.testing.assert_array_equal(eigvals_hermitian(np.stack([diagonal] * 2)), [[3, 2, 1]] * 2)
-        with pytest.raises(RuntimeError, match="failed to converge"):
-            eigvals_hermitian(np.stack([diagonal, random_hermitian(3, rng)]))
+        dense = [random_hermitian(3, rng) for _ in range(3)]
+        for stack in ([diagonal, dense[0]], [diagonal, *dense], dense[1:]):
+            with pytest.raises(RuntimeError, match="failed to converge"):
+                eigvals_hermitian(np.stack(stack))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
@@ -84,10 +88,12 @@ class TestEigHermitian:
         bad = good[0].copy()
         for idx in where:
             bad[idx] = value
-        with np.errstate(invalid="ignore"):  # inf - inf in the defect
-            for m in (bad, np.stack([good[0], bad, good[1]])):
+        for m in (bad, np.stack([good[0], bad, good[1]])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 with pytest.raises(NotHermitian, match=r"= (nan|inf) exceeds"):
                     eigvals_hermitian(m)
+            assert caught == []  # inf - inf in the defect is not reported
 
 
 class TestPartialTrace:

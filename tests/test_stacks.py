@@ -74,32 +74,123 @@ def test_eigvals_stack_equals_members(n, lead, seed):
         assert _same(eigs[idx], eigvals_hermitian(stack[idx]))
 
 
-def _rotations(m) -> int:
-    """Jacobi rotations eigvals_hermitian makes on m."""
-    calls = []
-    rotate = linalg._jacobi_rotate
+def _rotations(m) -> tuple[int, int]:
+    """Jacobi rotations eigvals_hermitian makes on m: those of the scalar
+    rotation, and those of the stacked rotation, one per member it rotates."""
+    calls = [0, 0]
+    rotate, rotate_stack = linalg._jacobi_rotate, linalg._jacobi_rotate_stack
 
     def counted(a, p, q):
-        calls.append((p, q))
+        calls[0] += 1
         rotate(a, p, q)
 
-    with mock.patch.object(linalg, "_jacobi_rotate", counted):
+    def counted_stack(a, p, q, r):
+        calls[1] += len(a)
+        rotate_stack(a, p, q, r)
+
+    with mock.patch.object(linalg, "_jacobi_rotate", counted), mock.patch.object(
+        linalg, "_jacobi_rotate_stack", counted_stack
+    ):
         eigvals_hermitian(m)
-    return len(calls)
+    return calls[0], calls[1]
 
 
 @PROPERTY
 @given(n=st.integers(2, 6), count=st.integers(2, 8), seed=SEEDS)
 def test_stack_rotates_as_often_as_its_members_alone(n, count, seed):
     # a converged member is never rotated again, and one that starts
-    # diagonal is never rotated at all
+    # diagonal is never rotated at all; a member alone is rotated by the
+    # scalar rotation, and two or more that rotate sweep in lockstep
     rng = np.random.default_rng(seed)
     stack = np.array([_hermitian_member(n, rng) for _ in range(count)])
     alone = [_rotations(m) for m in stack]
-    assert _rotations(stack) == sum(alone)
-    for m, rotations in zip(stack, alone):
+    assert all(stacked == 0 for _, stacked in alone)
+    together = _rotations(stack)
+    assert sum(together) == sum(scalar for scalar, _ in alone)
+    assert (together[1] > 0) == (sum(scalar > 0 for scalar, _ in alone) >= 2)
+    for m, (rotations, _) in zip(stack, alone):
         if not np.any(m - np.diag(np.diag(m))):
             assert rotations == 0
+
+
+def _step_member(n: int, p: int, q: int, floor: float, kind: str, rng) -> np.ndarray:
+    """A dense Hermitian matrix shaped at (p, q) for one case of the
+    rotation: equal diagonal entries, a real or an imaginary a_pq, or an
+    a_pq at or below the floor, which the step skips."""
+    m = random_hermitian(n, rng)
+    if kind == "equal-diagonal":
+        m[q, q] = m[p, p]
+    elif kind == "real":
+        m[p, q] = m[p, q].real
+    elif kind == "imaginary":
+        m[p, q] = 1j * m[p, q].imag
+    elif kind == "skipped":
+        m[p, q] = floor * rng.uniform() * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    elif kind == "zero":
+        m[p, q] = 0.0
+    m[q, p] = np.conj(m[p, q])
+    return m
+
+
+STEP_KINDS = ["dense", "equal-diagonal", "real", "imaginary", "skipped", "zero"]
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 7),
+    kinds=st.lists(st.sampled_from(STEP_KINDS), min_size=1, max_size=8),
+    seed=SEEDS,
+)
+def test_stacked_step_equals_scalar_rotation(n, kinds, seed):
+    # one (p, q) step over a stack rotates each member whose |a_pq| is above
+    # its floor bit for bit as _jacobi_rotate does alone, and leaves the
+    # others untouched
+    rng = np.random.default_rng(seed)
+    p, q = sorted(rng.choice(n, size=2, replace=False).tolist())
+    floors = rng.uniform(1e-3, 1e-1, size=len(kinds))
+    stack = np.array([_step_member(n, p, q, f, kind, rng) for f, kind in zip(floors, kinds)])
+    expected = stack.copy()
+    for member, floor in zip(expected, floors):
+        if abs(member.item(p, q)) > floor:
+            linalg._jacobi_rotate(member, p, q)
+    linalg._jacobi_step(stack, p, q, floors)
+    for got, want in zip(stack, expected):
+        assert _same(got, want)
+
+
+def test_members_converging_at_different_sweeps():
+    # a diagonal member is never swept, an X-type one converges after one
+    # sweep, a rank-deficient one after two, and the dense ones go on
+    # together until the last of them sweeps alone; each member comes out
+    # as when it is solved alone
+    rng = np.random.default_rng(2)
+    dense = [random_hermitian(4, rng) for _ in range(3)]
+    x_type = np.diag([0.3, -1.2, 0.8, 2.0]).astype(complex)
+    x_type[[0, 1], [3, 2]] = [0.5 + 0.2j, -0.3j]
+    x_type[[3, 2], [0, 1]] = np.conj(x_type[[0, 1], [3, 2]])
+    u = haar_unitary(4, 5)
+    rank_two = u @ np.diag([1.0, 1.0, 0.0, 0.0]) @ u.conj().T
+    stack = np.array([np.diag([1.0, 3.0, 2.0, 0.0]), x_type, rank_two, *dense])
+    sizes, lone = [], []
+    step, rotate = linalg._jacobi_step, linalg._jacobi_rotate
+
+    def recorded_step(a, p, q, floors):
+        sizes.append(len(a))
+        step(a, p, q, floors)
+
+    def recorded_rotate(a, p, q):
+        lone.append((p, q))
+        rotate(a, p, q)
+
+    with mock.patch.object(linalg, "_jacobi_step", recorded_step), mock.patch.object(
+        linalg, "_jacobi_rotate", recorded_rotate
+    ):
+        eigs = eigvals_hermitian(stack)
+    assert sizes[0] == len(stack) - 1  # all but the diagonal member
+    assert sorted(set(sizes)) == [3, 4, 5]
+    assert lone  # the last dense member's final sweep
+    for m, e in zip(stack, eigs):
+        assert _same(e, eigvals_hermitian(m))
 
 
 def _candidate(kind: str, rng) -> np.ndarray:
