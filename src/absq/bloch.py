@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange
-from .states import DensityMatrix
+from .states import DensityMatrix, _local_dim
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,7 @@ def decompose_bipartite(rho: DensityMatrix) -> BlochBipartite:
     Fixed by the orthogonality relation Tr(s_m s_n) = 2 delta_mn:
     a_m = (d/2) Tr(rho s_m x I), b_n likewise, t_mn = (d^2/4) Tr(rho s_m x s_n).
     """
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise DimensionMismatch(f"expected equal bipartite dims, got {rho.dims}")
-    d = rho.dims[0]
+    d = _local_dim(rho)
     basis = gell_mann_basis(d)
     r = rho.matrix.reshape(d, d, d, d)
     a = (d / 2.0) * np.real(np.einsum("abcb,mca->m", r, basis))

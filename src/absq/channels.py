@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CompletenessViolation, DimensionMismatch, OutOfRange
-from .states import DensityMatrix
+from .states import DensityMatrix, _local_dim, _unit_interval
 from .tolerances import HERMITICITY_TOL
 
 _I2 = np.eye(2, dtype=complex)
@@ -75,10 +75,7 @@ class KrausChannel:
 def _kraus_stack(name: str, ps) -> np.ndarray:
     """Kraus operators of the named channel at every p of ps, as a
     (len(ps), k, 2, 2) array."""
-    ps = np.asarray(ps, dtype=float).reshape(-1)
-    outside = ~((0 <= ps) & (ps <= 1))  # NaN is outside too
-    if outside.any():
-        raise OutOfRange(f"p={float(ps[np.argmax(outside)])} outside [0, 1]")
+    ps = _unit_interval(ps)
     sp = np.sqrt(ps)[:, None, None]
     sq = np.sqrt(1.0 - ps)[:, None, None]
     if name == "phase_flip":
@@ -158,9 +155,7 @@ def global_depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     """(1 - p) rho + p I / d^2 on a bipartite d x d state."""
     if not (0 <= p <= 1):
         raise OutOfRange(f"p={p} outside [0, 1]")
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise DimensionMismatch(f"expected equal bipartite dims, got {rho.dims}")
-    n = rho.dim
+    n = _local_dim(rho) ** 2
     out = (1.0 - p) * rho.matrix + (p / n) * np.eye(n)
     return DensityMatrix(out, rho.dims)
 

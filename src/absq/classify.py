@@ -16,14 +16,8 @@ from .bloch import BlochBipartite, BlochTripartite, pair_tensors
 from .entropy import _per_spectrum, check_alpha, spectrum_entropy, spectrum_power
 from .errors import DimensionMismatch, SumMismatch
 from .linalg import eigvals_hermitian
-from .states import DensityMatrix
+from .states import DensityMatrix, _local_dim
 from .tolerances import CLASS_MARGIN
-
-
-def _local_dim(rho: DensityMatrix) -> int:
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise DimensionMismatch(f"expected equal bipartite dims, got {rho.dims}")
-    return rho.dims[0]
 
 
 # Spectrum-level verdicts: eigs is the non-increasing spectrum of a d x d

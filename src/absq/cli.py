@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import bloch, channels, classify, entropy, states, swap, sweep
-from .errors import AbsqError, NoSignChange
+from .errors import AbsqError, NoSignChange, UsageError
 from .linalg import eigvals_hermitian
 from .sweep import format_number, write_csv_rows
 
@@ -24,7 +24,7 @@ USAGE_ERROR = 2
 COMPUTATION_ERROR = 1
 
 
-class SpecError(AbsqError):
+class SpecError(UsageError):
     pass
 
 
@@ -358,13 +358,11 @@ def cmd_swap_scan(args) -> int:
         rho_bc = channels.double_apply_stack(damping, fourth, base)
         header = ["p1", "p2", "p3", "S_ab", "S_bc", "S00", "S01", "S10", "S11", "success"]
     else:
-        print(
+        raise UsageError(
             "phase-damping leaves every state outside the absolute "
             "conditional-entropy class, so there is nothing for the swapping "
-            "network to retrieve; no scan is produced.",
-            file=sys.stderr,
+            "network to retrieve; no scan is produced."
         )
-        return USAGE_ERROR
     grid = swap.retrieval_grid(rho_ab, rho_bc)
     s_ab = grid.entropy_ab.tolist()
     s_bc = grid.entropy_bc.tolist()
@@ -484,7 +482,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except AbsqError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return COMPUTATION_ERROR
+        return USAGE_ERROR if isinstance(exc, UsageError) else COMPUTATION_ERROR
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return COMPUTATION_ERROR

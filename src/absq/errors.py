@@ -9,6 +9,10 @@ class AbsqError(ValueError):
     """Base of every exception absq raises on purpose."""
 
 
+class UsageError(AbsqError):
+    """A request the command line refuses; the CLI exits 2 on it, 1 on any other."""
+
+
 class NotHermitian(AbsqError):
     """Matrix fails the Hermiticity check."""
 

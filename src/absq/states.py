@@ -110,6 +110,22 @@ class DensityMatrix:
         return DensityMatrix(reduced, tuple(self.dims[i] for i in keep))
 
 
+def _local_dim(rho: DensityMatrix) -> int:
+    """d of a bipartite d x d state; any other dims raise DimensionMismatch."""
+    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
+        raise DimensionMismatch(f"expected equal bipartite dims, got {rho.dims}")
+    return rho.dims[0]
+
+
+def _unit_interval(ps) -> np.ndarray:
+    """ps as a flat float array, each p checked to lie in [0, 1]."""
+    ps = np.asarray(ps, dtype=float).reshape(-1)
+    outside = ~((0 <= ps) & (ps <= 1))  # NaN is outside too
+    if outside.any():
+        raise OutOfRange(f"p={float(ps[np.argmax(outside)])} outside [0, 1]")
+    return ps
+
+
 def _projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
@@ -150,10 +166,7 @@ def depolarized_schmidt_stack(thetas, ps) -> np.ndarray:
     DensityMatrix.validate, or hand them to a function that does, such as
     swap.retrieval_grid.  Out-of-range arguments raise as
     depolarized_schmidt does, p first."""
-    ps = np.asarray(ps, dtype=float).reshape(-1)
-    outside = ~((0 <= ps) & (ps <= 1))  # NaN is outside too
-    if outside.any():
-        raise OutOfRange(f"p={float(ps[np.argmax(outside)])} outside [0, 1]")
+    ps = _unit_interval(ps)
     kets = np.array([_schmidt_ket(theta) for theta in thetas])
     if kets.shape != (ps.size, 4):
         raise DimensionMismatch(f"{len(kets)} values of theta for {ps.size} values of p")

@@ -127,11 +127,17 @@ def swap_conditionals(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> list[Swap
     ]
 
 
+def _retrieved(member_ab, member_bc, left):
+    """The retrieval rule: both inputs inside ACVENN, some live Bell branch
+    outside it (left, along its last axis; a dead branch is False or absent)."""
+    return member_ab & member_bc & left.any(axis=-1)
+
+
 def retrieval_grid(rho_ab: np.ndarray, rho_bc: np.ndarray) -> RetrievalGrid:
     """The retrieval rule on the grid of every pair of the stacks rho_ab
     (m, 4, 4) and rho_bc (n, 4, 4) of two-qubit density matrices: a pair
     succeeds when both inputs are inside ACVENN and the conditional state
-    of some Bell branch above PROB_FLOOR is not.
+    of some Bell branch above PROB_FLOOR is not (_retrieved).
 
     Each input stack is validated once and diagonalized in one
     eigvals_hermitian call.  The conditional states are formed, validated
@@ -145,11 +151,6 @@ def retrieval_grid(rho_ab: np.ndarray, rho_bc: np.ndarray) -> RetrievalGrid:
         if x.ndim != 3 or x.shape[1:] != (4, 4):
             raise DimensionMismatch(f"{name} must be a stack of 4x4 matrices, got shape {x.shape}")
         DensityMatrix.validate(x)
-    return _grid(ab, bc)
-
-
-def _grid(ab: np.ndarray, bc: np.ndarray) -> RetrievalGrid:
-    """retrieval_grid on stacks already known to hold density matrices."""
     member_ab, entropy_ab = _acvenn(eigvals_hermitian(ab), 2)
     member_bc, entropy_bc = _acvenn(eigvals_hermitian(bc), 2)
     shape = (len(ab), len(bc), 4)
@@ -166,7 +167,7 @@ def _grid(ab: np.ndarray, bc: np.ndarray) -> RetrievalGrid:
         member, entropy = _acvenn(eigvals_hermitian(states), 2)
         entropies[block][live] = entropy
         left[block][live] = ~member
-    success = member_ab[:, None] & member_bc[None, :] & left.any(axis=-1)
+    success = _retrieved(member_ab[:, None], member_bc[None, :], left)
     return RetrievalGrid(entropy_ab, member_ab, entropy_bc, member_bc, probs, entropies, success)
 
 
@@ -175,22 +176,22 @@ def retrieval_success(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> tuple[boo
 
     Succeeds when both inputs are inside the absolute conditional-entropy
     class (S >= 1) yet some Bell branch leaves the outer pair outside it:
-    the rule of retrieval_grid on one pair.  The Bell branches are formed
-    once, by swap_conditionals, which validates each live conditional
-    state; their spectra come from one eigensolver call.
+    the rule of retrieval_grid (_retrieved) on one pair.  The Bell branches
+    are formed once, by swap_conditionals, which validates each live
+    conditional state; their spectra come from one eigensolver call.
     """
     _require_two_qubit(rho_ab, "rho_ab")
     _require_two_qubit(rho_bc, "rho_bc")
     member, entropy = _acvenn(eigvals_hermitian(np.stack([rho_ab.matrix, rho_bc.matrix])), 2)
     inputs = (float(entropy[0]), float(entropy[1]))
-    if not member.all():
+    if not member.all():  # then _retrieved is False whatever the branches
         return False, RetrievalReport(inputs, (), (), "input not in the absolute class")
     outcomes = tuple(swap_conditionals(rho_ab, rho_bc))
     live = [o.conditional_state.matrix for o in outcomes if o.conditional_state is not None]
-    member, entropy = _acvenn(eigvals_hermitian(np.array(live)), 2)
-    left = iter(entropy.tolist())
-    entropies = tuple(None if o.conditional_state is None else next(left) for o in outcomes)
-    success = not member.all()
+    stayed, entropy = _acvenn(eigvals_hermitian(np.array(live)), 2)
+    each = iter(entropy.tolist())
+    entropies = tuple(None if o.conditional_state is None else next(each) for o in outcomes)
+    success = bool(_retrieved(*member, ~stayed))
     reason = (
         "some conditional state left the absolute class"
         if success

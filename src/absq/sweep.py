@@ -32,27 +32,28 @@ def find_boundary(f, bracket, target: float, tol: float = BISECTION_TOL) -> floa
 
     The bracket endpoints must produce values on opposite sides of the
     target (an endpoint sitting exactly on it is returned directly);
-    orientation of the bracket does not matter.
+    orientation of the bracket does not matter.  A NaN value of f raises
+    NoSignChange.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if a > b:
         a, b = b, a
-    send = _bisection(a, b, f(a), f(b), target, tol).send
-    try:
-        x = send(None)
-        while True:
-            x = send(f(x))
-    except StopIteration as end:
-        return end.value
+    bisection = _bisection(a, b, f(a), f(b), target, tol)
+    (x,) = _side_by_side(lambda _, xs: [f(x) for x in xs], [(None, bisection)])
+    return x
 
 
 def _bisection(a: float, b: float, f_a: float, f_b: float, target: float, tol: float):
     """The bisection of f(x) = target on an ordered bracket whose end values
     are known, as a generator: it yields each midpoint, is sent the value of
-    f there, and returns the boundary.  find_boundary runs one; intervals
-    runs all of its brackets side by side."""
+    f there, and returns the boundary.  A NaN value of f, at an end or at a
+    midpoint, raises NoSignChange naming its x.  _side_by_side drives every
+    bisection: the one of find_boundary and all of those of intervals."""
     fa = f_a - target
     fb = f_b - target
+    for x, value in ((a, fa), (b, fb)):
+        if value != value:
+            raise NoSignChange(f"f - target is NaN at {x}")
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -62,6 +63,8 @@ def _bisection(a: float, b: float, f_a: float, f_b: float, target: float, tol: f
     while b - a > tol:
         mid = 0.5 * (a + b)
         fm = (yield mid) - target
+        if fm != fm:
+            raise NoSignChange(f"f - target is NaN at {mid}")
         if fm == 0.0:
             return mid
         if (fm > 0) == (fa > 0):
@@ -116,7 +119,8 @@ def intervals(
     refined endpoints' witnesses.  Every bisection starts from the grid values
     already at hand, and an endpoint on the grid's edge reports its grid
     value as its witness.  Returns one list of Interval per criterion,
-    empty where the criterion never holds on the grid.
+    empty where the criterion never holds on the grid.  A NaN witness, on
+    the grid or at a midpoint, raises NoSignChange.
     """
     criteria = list(criteria)
     for _, _, sense in criteria:
@@ -125,6 +129,10 @@ def intervals(
     xs = np.linspace(lo, hi, points)
     which = np.repeat(np.arange(len(criteria)), points)
     vals = np.asarray(f(which, np.tile(xs, len(criteria))), dtype=float).reshape(-1, points)
+    nan = np.isnan(vals)
+    if nan.any():
+        c, k = np.argwhere(nan)[0]
+        raise NoSignChange(f"the witness of {criteria[c][0]!r} is NaN at {float(xs[k])}")
 
     def values(keys, x):
         return np.asarray(f(np.array(keys, dtype=int), np.array(x, dtype=float)), dtype=float)

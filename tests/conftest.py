@@ -15,3 +15,8 @@ def rng():
 def random_hermitian(n, rng):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (g + g.conj().T) / 2.0
+
+
+def bits(x):
+    """The bytes of x as an array, for bitwise comparisons."""
+    return np.asarray(x).tobytes()

@@ -17,7 +17,7 @@ from absq.bloch import (
     reconstruct_bipartite,
     reconstruct_tripartite,
 )
-from absq.channels import double_apply, global_depolarize, make_channel
+from absq.channels import double_apply, double_apply_stack, global_depolarize, make_channel, transfer_stack
 from absq.classify import (
     acre2nn_bloch,
     is_acre2nn,
@@ -32,10 +32,12 @@ from absq.entropy import (
     conditional_von_neumann,
     renyi,
     series_estimate_flat,
+    spectrum_entropy,
+    spectrum_power,
     trace_power,
     von_neumann,
 )
-from absq.linalg import eigvals_hermitian, haar_unitary
+from absq.linalg import eigvals_hermitian, haar_unitary, partial_trace
 from absq.states import (
     DensityMatrix,
     acin_tripartite,
@@ -49,10 +51,20 @@ from absq.states import (
 from absq.swap import swap_conditionals
 from absq.sweep import find_boundary
 
+from conftest import bits
+
 
 def check(name: str, ok: bool, detail: str = ""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+def spot_check(stacked, scalar, fixed):
+    """stacked[i] equals scalar(*i) bitwise at each index i of fixed and at
+    the minimum and the maximum of the stack."""
+    extremes = [np.unravel_index(pick(stacked), stacked.shape) for pick in (np.argmin, np.argmax)]
+    for i in list(fixed) + extremes:
+        assert bits(stacked[i]) == bits(scalar(*i)), i
 
 
 def amp_damped(p1, p2, theta=math.pi / 4):
@@ -191,11 +203,18 @@ class TestAmplitudeDamping:
         check("amplitude damping AC interval", ok, f"[{lo:.6f}, {hi:.6f}]")
 
     def test_never_afef(self):
-        lmaxs = [
-            float(eigvals_hermitian(amp_damped(p, p).matrix)[0])
-            for p in np.linspace(0, 1, 10_000)
-        ]
-        check("amplitude damping never AFEF", min(lmaxs) > 0.5, f"min lambda_max = {min(lmaxs):.6f}")
+        # the 10^4 states as one stack
+        ps = np.linspace(0, 1, 10_000)
+        s = transfer_stack("amplitude_damping", ps)
+        rho = double_apply_stack(s, s, pure_schmidt(math.pi / 4).matrix)
+        DensityMatrix.validate(rho)
+        lmaxs = eigvals_hermitian(rho)[:, 0]
+        spot_check(
+            lmaxs,
+            lambda k: float(eigvals_hermitian(amp_damped(ps[k], ps[k]).matrix)[0]),
+            [(0,), (4321,), (9999,)],
+        )
+        check("amplitude damping never AFEF", lmaxs.min() > 0.5, f"min lambda_max = {lmaxs.min():.6f}")
 
 
 class TestPhaseDamping:
@@ -203,10 +222,20 @@ class TestPhaseDamping:
     membership at theta = pi/4, p = 1 with lambda_max = 0.5."""
 
     def test_never_acvenn(self):
-        smax = 0.0
-        for theta in np.linspace(0.001, math.pi / 2 - 0.001, 100):
-            for p in np.linspace(0, 1, 100):
-                smax = max(smax, von_neumann(phase_damped(p, p, theta)))
+        # the 10^4 states as one (theta, p) stack
+        thetas = np.linspace(0.001, math.pi / 2 - 0.001, 100)
+        ps = np.linspace(0, 1, 100)
+        s = transfer_stack("phase_damping", ps)
+        base = np.array([pure_schmidt(theta).matrix for theta in thetas])
+        rho = double_apply_stack(s, s, base[:, None])
+        DensityMatrix.validate(rho)
+        entropies = spectrum_entropy(eigvals_hermitian(rho))
+        spot_check(
+            entropies,
+            lambda i, k: von_neumann(phase_damped(ps[k], ps[k], thetas[i])),
+            [(0, 0), (37, 62), (99, 99)],
+        )
+        smax = float(entropies.max())
         check("phase damping never in AC", smax < 1.0, f"max S = {smax:.6f}")
 
     def test_afef_boundary_point(self):
@@ -413,9 +442,18 @@ class TestBlochRoundTrips:
         )
 
 
+@pytest.fixture(scope="module")
+def haar():
+    """Unitary k of sampled state i, drawn with seed i * 1000 + k, at
+    [i, k] of one (20, 500, 4, 4) stack."""
+    return np.array([[haar_unitary(4, seed=i * 1000 + k) for k in range(500)] for i in range(20)])
+
+
 class TestAbsolutenessSampling:
     """For member states, conditionals stay nonnegative under 500 Haar
-    unitaries each (20 states per criterion)."""
+    unitaries each (20 states per criterion).  The 10^4 rotated states of
+    a criterion are one stack, and members of it are checked bitwise
+    against the scalar conditional entropies."""
 
     def _member_states(self, predicate, count=20):
         found = []
@@ -427,25 +465,50 @@ class TestAbsolutenessSampling:
             seed += 1
         return found
 
-    def test_conditional_von_neumann(self):
+    def _rotated(self, states, haar):
+        """U rho U^dagger for the unitaries of each state, and the marginals
+        on B of those, as two validated (20, 500, n, n) stacks."""
+        rho = np.array([state.matrix for state in states])[:, None]
+        rotated = haar @ rho @ np.swapaxes(haar.conj(), -1, -2)
+        DensityMatrix.validate(rotated)
+        marginals = partial_trace(rotated, [2, 2], [1])
+        DensityMatrix.validate(marginals)
+        return rotated, marginals
+
+    def _scalar(self, states, conditional):
+        """conditional(rotated state) as the scalar loop computes it."""
+
+        def at(i, k):
+            u = haar_unitary(4, seed=i * 1000 + k)
+            return conditional(DensityMatrix(u @ states[i].matrix @ u.conj().T, (2, 2)))
+
+        return at
+
+    def test_conditional_von_neumann(self, haar):
         states = self._member_states(lambda r: is_acvenn(r)[0])
-        worst = math.inf
-        for i, rho in enumerate(states):
-            for k in range(500):
-                u = haar_unitary(4, seed=i * 1000 + k)
-                rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, (2, 2))
-                worst = min(worst, conditional_von_neumann(rotated))
+        rotated, marginals = self._rotated(states, haar)
+        c = spectrum_entropy(eigvals_hermitian(rotated)) - spectrum_entropy(eigvals_hermitian(marginals))
+        spot_check(c, self._scalar(states, conditional_von_neumann), [(0, 0), (11, 250), (19, 499)])
+        worst = float(c.min())
         check("absoluteness of conditional entropy", worst >= -1e-9, f"min C = {worst:.3e}")
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
-    def test_conditional_renyi(self, alpha):
+    def test_conditional_renyi(self, alpha, haar):
         states = self._member_states(lambda r: is_acrenn(r, alpha)[0])
-        worst = math.inf
-        for i, rho in enumerate(states):
-            for k in range(500):
-                u = haar_unitary(4, seed=i * 1000 + k)
-                rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, (2, 2))
-                worst = min(worst, conditional_renyi(rotated, alpha))
+        rotated, marginals = self._rotated(states, haar)
+
+        def renyi_stack(m):
+            # renyi's arithmetic member by member: math.log2 of Tr rho^alpha
+            powers = spectrum_power(eigvals_hermitian(m), alpha)
+            return np.array([math.log2(w) for w in powers.flat]).reshape(powers.shape) / (1.0 - alpha)
+
+        c = renyi_stack(rotated) - renyi_stack(marginals)
+        spot_check(
+            c,
+            self._scalar(states, lambda rho: conditional_renyi(rho, alpha)),
+            [(0, 0), (11, 250), (19, 499)],
+        )
+        worst = float(c.min())
         check(
             f"absoluteness of order-{alpha:g} conditional entropy",
             worst >= -1e-9,

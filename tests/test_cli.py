@@ -113,7 +113,7 @@ class TestClassifyCommand:
     def test_non_finite_spec_exits_nonzero(self, spec, capsys):
         code = main(["classify", "--state", spec])
         err = capsys.readouterr().err
-        assert code == 1
+        assert code == 2
         assert err.startswith("error: expected a finite number")
         assert err.count("\n") == 1
 
@@ -128,7 +128,7 @@ class TestClassifyCommand:
     def test_bad_spec_one_line_error(self, spec, message, capsys):
         code = main(["classify", "--state", spec])
         err = capsys.readouterr().err
-        assert code == 1
+        assert code == 2
         assert err.startswith(message)
         assert err.count("\n") == 1
 
@@ -150,7 +150,7 @@ class TestClassifyCommand:
         # an empty list is not the default list
         code = main(["classify", "--state", "iso:d=2,beta=0.5", "--alpha", ""])
         out, err = capsys.readouterr()
-        assert code == 1
+        assert code == 2
         assert out == ""
         assert err == "error: --alpha expects comma-separated numbers, got ''\n"
 
@@ -159,10 +159,50 @@ class TestClassifyCommand:
         path = tmp_path / "report.csv"
         code = main(["classify", "--state", "iso:d=2,beta=0.5", "--alpha", "2,2.0", "--csv", str(path)])
         out, err = capsys.readouterr()
-        assert code == 1
+        assert code == 2
         assert out == ""
         assert err == "error: --alpha repeats the order 2 in '2,2.0'\n"
         assert not path.exists()
+
+
+# argv (OUT: a file in the test's directory, MISSING: one in a directory
+# that does not exist), exit status, and the start of the one stderr line
+EXIT_STATUS = [
+    # a UsageError: what the command line asks for is refused
+    (["classify", "--state", "nosuch:x=1"], 2, "error: unknown state 'nosuch'"),
+    (["classify", "--state", "bell:index=0", "--channel", "nosuch:p=0.1"], 2, "error: unknown channel 'nosuch'"),
+    (["classify", "--state", "iso:d=2.5,beta=0.5"], 2, "error: expected an integer for iso parameter d"),
+    (["classify", "--state", "iso:d=2,beta=0.5,d=3"], 2, "error: repeated key 'd'"),
+    (["classify", "--state", "bell:index=0", "--alpha", ""], 2, "error: --alpha expects comma-separated"),
+    (["classify", "--state", "bell:index=0", "--alpha", "2,2.0"], 2, "error: --alpha repeats the order 2"),
+    (["classify", "--state", "bell:index=0", "--marginal", "12"], 2, "error: --marginal needs a tripartite"),
+    (["classify", "--state", "ghzw:p=0.5", "--channel", "bit-flip:p=0.3"], 2, "error: channel bit-flip needs"),
+    (["swap-scan", "--family", "phase-damping", "--out", "OUT"], 2, "error: phase-damping leaves"),
+    # any other AbsqError, or an OSError: the computation failed
+    (["classify", "--state", "bell:index=0", "--alpha", "1"], 1, "error: alpha=1.0 outside"),
+    (["swap-scan", "--family", "global-depolarizing", "--p2", "2", "--out", "OUT"], 1, "error: p=2.0 outside"),
+    (["classify", "--state", "iso:d=3,beta=9"], 1, "error: beta=9.0 outside"),
+    (["table3", "--out", "MISSING"], 1, "io error: "),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    EXIT_STATUS,
+    ids=[
+        "state", "channel", "fraction", "repeated-key", "empty-alpha", "repeated-alpha",
+        "marginal", "channel-on-ghzw", "phase-damping", "alpha-1", "p2", "beta", "unwritable",
+    ],
+)
+def test_exit_status_from_error_class(argv, code, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    paths = {"OUT": str(out), "MISSING": str(tmp_path / "missing" / "out.csv")}
+    assert main([paths.get(arg, arg) for arg in argv]) == code
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(message)
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestErrorHandling:
@@ -213,7 +253,7 @@ class TestErrorHandling:
     def test_channel_on_three_qubits_one_line_error(self, capsys):
         code = main(["classify", "--state", "ghzw:p=0.5", "--channel", "bit-flip:p=0.3"])
         out, err = capsys.readouterr()
-        assert code == 1
+        assert code == 2
         assert out == ""
         assert err == "error: channel bit-flip needs a two-qubit state, got dims (2, 2, 2)\n"
 

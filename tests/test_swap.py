@@ -13,6 +13,8 @@ from absq import swap
 from absq.swap import OUTCOME_LABELS, retrieval_grid, retrieval_success, swap_conditionals
 from absq.sweep import format_number
 
+from conftest import bits
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -118,10 +120,6 @@ class TestRetrievalSuccess:
         assert sum(o.probability for o in report.outcomes) == pytest.approx(1.0, abs=1e-10)
 
 
-def _bits(x):
-    return np.asarray(x).tobytes()
-
-
 @pytest.mark.parametrize(
     "pair",
     [
@@ -155,17 +153,17 @@ def test_retrieval_report_from_one_branch_call(pair, monkeypatch):
     live = [o.conditional_state is not None for o in outcomes]
     assert branches == [1]
     assert validated == [(4, 4)] * sum(live)
-    assert [(o.label, _bits(o.probability)) for o in report.outcomes] == [
-        (o.label, _bits(o.probability)) for o in outcomes
+    assert [(o.label, bits(o.probability)) for o in report.outcomes] == [
+        (o.label, bits(o.probability)) for o in outcomes
     ]
     for got, want in zip(report.outcomes, outcomes):
         assert (got.conditional_state is None) == (want.conditional_state is None)
         if want.conditional_state is not None:
-            assert _bits(got.conditional_state.matrix) == _bits(want.conditional_state.matrix)
+            assert bits(got.conditional_state.matrix) == bits(want.conditional_state.matrix)
     grid = retrieval_grid(rho_ab.matrix[None], rho_bc.matrix[None])
-    assert _bits(report.input_entropies) == _bits([grid.entropy_ab[0], grid.entropy_bc[0]])
+    assert bits(report.input_entropies) == bits([grid.entropy_ab[0], grid.entropy_bc[0]])
     assert [s is None for s in report.conditional_entropies] == [not k for k in live]
-    assert _bits([s for s in report.conditional_entropies if s is not None]) == _bits(
+    assert bits([s for s in report.conditional_entropies if s is not None]) == bits(
         grid.conditional_entropies[0, 0][live]
     )
     assert ok == grid.success[0, 0]

@@ -244,6 +244,45 @@ def test_side_by_side_refinement_equals_each_bracket_alone(points, criteria, bad
     assert calls == []
 
 
+class TestNanWitness:
+    # a NaN value of the witness is an error, never a boundary or the end
+    # of an interval
+
+    def test_find_boundary_at_a_nan_midpoint(self):
+        with pytest.raises(NoSignChange, match="NaN at 0.5$"):
+            find_boundary(lambda x: math.nan if 0.4 < x < 0.6 else x, (0, 1), 0.5)
+
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_find_boundary_at_a_nan_end(self, end):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.nan if x == end else x
+
+        with pytest.raises(NoSignChange, match=f"NaN at {end}$"):
+            find_boundary(f, (0, 1), 0.5)
+        assert calls == [0.0, 1.0]
+
+    def test_intervals_at_a_nan_grid_value(self):
+        calls = []
+
+        def f(xs):
+            calls.append(len(xs))
+            return np.where(np.abs(xs - 0.5) < 0.01, math.nan, xs)
+
+        with pytest.raises(NoSignChange, match="witness of '' is NaN at 0.5$"):
+            one_criterion(f, 0.0, 1.0, 0.3, ">=", points=11)
+        assert calls == [11]  # before any bisection
+
+    def test_intervals_at_a_nan_midpoint(self):
+        # the grid values are finite; the first midpoint of the bracket
+        # (0.3, 0.4) is not
+        f = lambda xs: np.where((xs > 0.31) & (xs < 0.39), math.nan, xs)
+        with pytest.raises(NoSignChange, match="NaN at 0.35"):
+            one_criterion(f, 0.0, 1.0, 0.35, ">=", points=11)
+
+
 def test_side_by_side_examples_reach_every_exit():
     # the explicit examples above end a bisection in each way: on a
     # bracket end that sits on the target (grid point 3), at the width
