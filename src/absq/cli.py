@@ -19,6 +19,7 @@ from . import bloch, channels, classify, entropy, states, swap, sweep
 from .errors import AbsqError, NoSignChange, UsageError
 from .linalg import eigvals_hermitian
 from .sweep import format_number, write_csv_rows
+from .tolerances import BISECTION_TOL
 
 USAGE_ERROR = 2
 COMPUTATION_ERROR = 1
@@ -233,10 +234,14 @@ def table2_rows(points: int = 2001):
         keys = list(zip((which // 2).tolist(), ps.tolist()))
         todo = sorted(set(keys).difference(spectra))  # scan order, so by channel
         if todo:
-            s = np.concatenate([
-                channels.transfer_stack(channel, [p for _, p in group])
-                for channel, group in itertools.groupby(todo, key=lambda key: scans[key[0]][0])
-            ])
+            # every Kraus set padded to four by zero operators, which add nothing
+            kraus = np.zeros((len(todo), 4, 2, 2), dtype=complex)
+            start = 0
+            for channel, group in itertools.groupby(todo, key=lambda key: scans[key[0]][0]):
+                ops = channels._kraus_stack(channel, [p for _, p in group])
+                kraus[start : start + len(ops), : ops.shape[1]] = ops
+                start += len(ops)
+            s = channels._transfer(kraus)
             one_sided = np.array([scans[k][1] == 1 for k, _ in todo])[:, None, None, None, None]
             rho = channels.double_apply_stack(s, np.where(one_sided, ident, s), base)
             states.DensityMatrix.validate(rho)
@@ -272,22 +277,41 @@ def table2_rows(points: int = 2001):
     return rows
 
 
+def _isotropic_boundaries(beta: float, dims, functional, what: str) -> list[float]:
+    """The lambda in [0, 1] where functional(spectrum) = log2(d) after global
+    depolarizing of the isotropic state, for each d of dims, bisected side by
+    side.  Each d is diagonalized once, and each witness call (the 2k ends,
+    then one per step) runs functional once on the spectra as the rows of a
+    zero-padded stack.  A d without a crossing raises, naming d and what."""
+    eigs = [eigvals_hermitian(states.isotropic(d, beta).matrix) for d in dims]
+
+    def witness(keys, lams):
+        stack = np.zeros((len(keys), max(e.size for e in eigs)))
+        for row, n, lam in zip(stack, keys, lams):
+            row[: eigs[n].size] = channels.global_depolarize_spectrum(eigs[n], lam)
+        return functional(stack).tolist()
+
+    def bisection(d, f_0, f_1):
+        try:
+            return (yield from sweep._bisection(0.0, 1.0, f_0, f_1, math.log2(d), BISECTION_TOL))
+        except NoSignChange:
+            raise NoSignChange(f"d = {d}: the {what} does not cross log2({d}) = "
+                               f"{format_number(math.log2(d))} for lambda in [0, 1]") from None
+
+    ends = witness([n for n in range(len(dims)) for _ in (0, 1)], [0.0, 1.0] * len(dims))
+    return sweep._side_by_side(
+        witness, [(n, bisection(d, *ends[2 * n : 2 * n + 2])) for n, d in enumerate(dims)]
+    )
+
+
 def table3_rows():
     """Exact-entropy membership boundary of the depolarized isotropic
     family at beta = 0.8, for local dimensions 2..5."""
-    rows = []
-    for d, ref in TABLE3_REFERENCE.items():
-        # diagonalized once; global depolarizing maps the spectrum affinely
-        eigs = eigvals_hermitian(states.isotropic(d, 0.8).matrix)
-
-        def witness(lam, _eigs=eigs):
-            return entropy.spectrum_entropy(channels.global_depolarize_spectrum(_eigs, lam))
-
-        lam_star = sweep.find_boundary(witness, (0.0, 1.0), math.log2(d))
-        rows.append(
-            {"d": d, "beta": 0.8, "lambda_lo": lam_star, "ref": ref, "delta": abs(lam_star - ref)}
-        )
-    return rows
+    found = _isotropic_boundaries(0.8, TABLE3_REFERENCE, entropy.spectrum_entropy, "entropy")
+    return [
+        {"d": d, "beta": 0.8, "lambda_lo": lam, "ref": ref, "delta": abs(lam - ref)}
+        for (d, ref), lam in zip(TABLE3_REFERENCE.items(), found)
+    ]
 
 
 def table4_rows(terms: int = 10):
@@ -298,32 +322,13 @@ def table4_rows(terms: int = 10):
     admissible beta range) using the uniform-coefficient surrogate compared
     directly against log2(d); see entropy.series_estimate_flat.
     """
-    rows = []
-    for d, ref in TABLE4_REFERENCE.items():
-        # diagonalized once; global depolarizing maps the spectrum affinely
-        eigs = eigvals_hermitian(states.isotropic(d, 1.0).matrix)
-
-        def witness(lam, _eigs=eigs):
-            return entropy.spectrum_series_flat(channels.global_depolarize_spectrum(_eigs, lam), terms)
-
-        try:
-            lam_star = sweep.find_boundary(witness, (0.0, 1.0), math.log2(d))
-        except NoSignChange:
-            raise NoSignChange(
-                f"d = {d}: the {terms}-term series surrogate does not cross "
-                f"log2({d}) = {format_number(math.log2(d))} for lambda in [0, 1]"
-            ) from None
-        rows.append(
-            {
-                "d": d,
-                "beta_lo": -1.0 / (d * d - 1),
-                "beta_hi": 1.0,
-                "lambda_lo": lam_star,
-                "ref": ref,
-                "delta": abs(lam_star - ref),
-            }
-        )
-    return rows
+    series = lambda stack: entropy.spectrum_series_flat(stack, terms)
+    found = _isotropic_boundaries(1.0, TABLE4_REFERENCE, series, f"{terms}-term series surrogate")
+    return [
+        {"d": d, "beta_lo": -1.0 / (d * d - 1), "beta_hi": 1.0, "lambda_lo": lam, "ref": ref,
+         "delta": abs(lam - ref)}
+        for (d, ref), lam in zip(TABLE4_REFERENCE.items(), found)
+    ]
 
 
 def write_table(path, rows) -> int:
@@ -480,8 +485,8 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except AbsqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AbsqError, MemoryError) as exc:  # numpy names the allocation it refused
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR if isinstance(exc, UsageError) else COMPUTATION_ERROR
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -63,17 +63,21 @@ def spectrum_power(eigs: np.ndarray, alpha: float) -> float | np.ndarray:
 
 
 def spectrum_series_flat(eigs: np.ndarray, terms: int) -> float | np.ndarray:
-    """series_estimate_flat read off a spectrum."""
+    """series_estimate_flat read off a spectrum.  The power sums, like the
+    sum in spectrum_entropy, run over positive terms only, so zero padding
+    drops out; all g(k) are formed at once, each in its own term order."""
     if terms < 1:
         raise OutOfRange(f"terms must be >= 1, got {terms}")
     eigs = _clamp(eigs)
-    r = [_per_spectrum(np.sum(eigs ** n, axis=-1)) for n in range(1, terms + 2)]  # r[n-1] = R_n
+    pos = eigs > 0
+    r = np.stack([np.sum(eigs ** n, axis=-1, where=pos) for n in range(1, terms + 2)], axis=-1)
+    ks = np.arange(1.0, terms + 1)
+    g = 1.0 + (-1.0) ** ks * r[..., 1:]  # g[..., k - 1] = g(k); r[..., n - 1] = R_n
+    for m in range(1, terms):
+        g[..., m:] += (-1.0) ** m * ks[m:] * r[..., m : m + 1]  # + (-1)^m k R_{m+1}
     total = 0.0
-    for k in range(1, terms + 1):
-        g = 1.0 + (-1.0) ** k * r[k]
-        for m in range(1, k):
-            g += (-1.0) ** m * k * r[m]
-        total += g / k
+    for k in range(terms):
+        total += g[..., k] / ks[k]
     return _per_spectrum(total)
 
 

@@ -276,10 +276,3 @@ def random_density(dims, seed) -> DensityMatrix:
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real, tuple(dims))
 
-
-def random_product_state(da: int, db: int, seed) -> DensityMatrix:
-    """rho_A (x) rho_B with independent random factors."""
-    rng = np.random.default_rng(seed)
-    a = random_density((da,), rng)
-    b = random_density((db,), rng)
-    return DensityMatrix(np.kron(a.matrix, b.matrix), (da, db))

@@ -35,9 +35,7 @@ def find_boundary(f, bracket, target: float, tol: float = BISECTION_TOL) -> floa
     orientation of the bracket does not matter.  A NaN value of f raises
     NoSignChange.
     """
-    a, b = float(bracket[0]), float(bracket[1])
-    if a > b:
-        a, b = b, a
+    a, b = sorted((float(bracket[0]), float(bracket[1])))
     bisection = _bisection(a, b, f(a), f(b), target, tol)
     (x,) = _side_by_side(lambda _, xs: [f(x) for x in xs], [(None, bisection)])
     return x
@@ -48,7 +46,7 @@ def _bisection(a: float, b: float, f_a: float, f_b: float, target: float, tol: f
     are known, as a generator: it yields each midpoint, is sent the value of
     f there, and returns the boundary.  A NaN value of f, at an end or at a
     midpoint, raises NoSignChange naming its x.  _side_by_side drives every
-    bisection: the one of find_boundary and all of those of intervals."""
+    bisection: those of find_boundary, intervals and the isotropic tables."""
     fa = f_a - target
     fb = f_b - target
     for x, value in ((a, fa), (b, fb)):
@@ -76,9 +74,9 @@ def _bisection(a: float, b: float, f_a: float, f_b: float, target: float, tol: f
 
 def _side_by_side(f, bisections) -> list[float]:
     """The boundaries of (key, _bisection) pairs, run in lockstep: each step
-    is one call f(keys, xs) on the midpoints the open bisections ask for,
-    each x of the witness its key names.  A bracket without a sign change
-    raises NoSignChange before any step."""
+    is one call f(keys, xs) on the midpoints the open bisections ask for
+    (each x of the witness its key names), one stack for f.  The first
+    bracket without a sign change raises NoSignChange before any step."""
     found = [0.0] * len(bisections)
     asking = []
 

@@ -19,6 +19,7 @@ from absq.bloch import (
 )
 from absq.channels import double_apply, double_apply_stack, global_depolarize, make_channel, transfer_stack
 from absq.classify import (
+    _acrenn,
     acre2nn_bloch,
     is_acre2nn,
     is_acrenn,
@@ -357,14 +358,23 @@ class TestCriterionEquivalences:
     transfer down the majorization order."""
 
     def test_trace_power_vs_entropy(self):
+        # the states of each d are one stack, solved in one call; the first,
+        # an interior and the last member are checked bitwise against
+        # is_acrenn and renyi
         disagreements = 0
-        for seed in range(200):
-            d = 2 if seed % 2 else 3
-            rho = random_density((d, d), seed)
+        for d, seeds in ((3, range(0, 200, 2)), (2, range(1, 200, 2))):
+            rhos = [random_density((d, d), seed) for seed in seeds]
+            eigs = eigvals_hermitian(np.array([rho.matrix for rho in rhos]))
             for alpha in (0.3, 0.7, 2.0, 5.0):
-                by_trace = is_acrenn(rho, alpha)[0]
-                by_entropy = renyi(rho, alpha) >= math.log2(d) - 1e-9
-                disagreements += by_trace != by_entropy
+                by_trace, power = _acrenn(eigs, d, alpha)
+                # renyi's arithmetic member by member: math.log2 of Tr rho^alpha
+                entropies = np.array([math.log2(w) for w in power]) / (1.0 - alpha)
+                by_entropy = entropies >= math.log2(d) - 1e-9
+                disagreements += int(np.count_nonzero(by_trace != by_entropy))
+                for i in (0, 50, len(rhos) - 1):
+                    ok, witness = is_acrenn(rhos[i], alpha)
+                    assert ok == by_trace[i] and bits(witness) == bits(power[i])
+                    assert bits(renyi(rhos[i], alpha)) == bits(entropies[i])
         check("order-alpha criterion equivalence", disagreements == 0, "200 states x 4 alphas")
 
     def test_bloch_vs_purity(self):

@@ -4,9 +4,12 @@ import pytest
 
 import numpy as np
 
-from absq import classify, cli, entropy, errors, states, swap, sweep
+from absq import channels, classify, cli, entropy, errors, states, swap, sweep
 from absq.cli import SpecError, build_state, main, parse_spec, table2_rows, table3_rows, table4_rows
+from absq.linalg import eigvals_hermitian
 from absq.tolerances import BISECTION_TOL
+
+from conftest import bits
 
 
 class TestSpecGrammar:
@@ -250,6 +253,30 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "exc,message",
+        [
+            (
+                MemoryError("Unable to allocate 23.8 GiB for an array with shape (40000, 40000)"),
+                "error: Unable to allocate 23.8 GiB for an array with shape (40000, 40000)\n",
+            ),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_one_line_error(self, exc, message, monkeypatch, capsys):
+        # iso:d=200 asks for a 40000 x 40000 complex matrix; the factory
+        # refuses it here instead, so nothing is allocated
+        def refuse(d, beta):
+            raise exc
+
+        monkeypatch.setattr(states, "isotropic", refuse)
+        code = main(["classify", "--state", "iso:d=200,beta=0.5"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == message
+
     def test_channel_on_three_qubits_one_line_error(self, capsys):
         code = main(["classify", "--state", "ghzw:p=0.5", "--channel", "bit-flip:p=0.3"])
         out, err = capsys.readouterr()
@@ -308,6 +335,25 @@ class TestTableCommands:
         assert err.startswith("error: d = 3: the 20-term series surrogate does not cross log2(3)")
         assert "lambda in [0, 1]" in err
         assert err.count("\n") == 1
+        assert not path.exists()
+
+
+    @pytest.mark.parametrize(
+        "terms,message",
+        [
+            (5, "d = 4: the 5-term series surrogate does not cross log2(4) = 2"),
+            (8, "d = 6: the 8-term series surrogate does not cross log2(6) = 2.5849625"),
+        ],
+    )
+    def test_table4_names_the_first_case_in_table_order(self, terms, message, tmp_path, capsys):
+        # the dims are bisected side by side; the message still names the
+        # first d without a crossing, as a loop over d would
+        path = tmp_path / "t4.csv"
+        code = main(["table4", "--terms", str(terms), "--out", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message} for lambda in [0, 1]\n"
         assert not path.exists()
 
 
@@ -485,6 +531,88 @@ class TestTableRowHelpers:
         grid = list(np.linspace(0.0, 1.0, 7))
         assert calls[0] == [(c // 2, p) for c in range(10) for p in grid]
         assert solved[0] == 5 * 7
+
+    def test_table2_one_transfer_call_per_step(self, monkeypatch):
+        # each witness call builds the Kraus sets of its channels, zero-padded
+        # to four operators, and makes one _transfer call on them, bitwise the
+        # per-channel transfer_stack tensors one after the other
+        kraus_stack, transfer = channels._kraus_stack, channels._transfer
+        groups, calls = [], []
+
+        def traced_kraus(name, ps):
+            groups.append((name, list(ps)))
+            return kraus_stack(name, ps)
+
+        def traced_transfer(kraus):
+            s = transfer(kraus)
+            calls.append((list(groups), kraus.shape, s))
+            groups.clear()
+            return s
+
+        monkeypatch.setattr(channels, "_kraus_stack", traced_kraus)
+        monkeypatch.setattr(channels, "_transfer", traced_transfer)
+        table2_rows(points=7)
+        monkeypatch.undo()
+        # the identity map of the one-sided scan, then one call per witness
+        # call: the grid, 21 bisection steps and the refined endpoints
+        assert calls[0][0] == [("depolarizing", [0.0])]
+        assert len(calls) == 1 + 23
+        assert {name for group, _, _ in calls[1:] for name, _ in group} == set(cli.TABLE2_CHANNELS)
+        for group, shape, s in calls[1:]:
+            assert shape == (sum(len(ps) for _, ps in group), 4, 2, 2)
+            assert bits(s) == bits(np.concatenate([channels.transfer_stack(name, ps) for name, ps in group]))
+
+    @staticmethod
+    def _per_d_boundaries(beta, dims, functional):
+        """Each d bisected alone by find_boundary, as the tables did before
+        their dims were bisected side by side."""
+        found = []
+        for d in dims:
+            eigs = eigvals_hermitian(states.isotropic(d, beta).matrix)
+
+            def witness(lam, eigs=eigs):
+                return functional(channels.global_depolarize_spectrum(eigs, lam))
+
+            found.append(sweep.find_boundary(witness, (0.0, 1.0), math.log2(d)))
+        return found
+
+    @pytest.mark.parametrize(
+        "rows,beta,functional",
+        [
+            (table3_rows, 0.8, entropy.spectrum_entropy),
+            (table4_rows, 1.0, lambda e: entropy.spectrum_series_flat(e, 10)),
+            (lambda: table4_rows(terms=12), 1.0, lambda e: entropy.spectrum_series_flat(e, 12)),
+        ],
+        ids=["table3", "table4", "table4-terms12"],
+    )
+    def test_isotropic_tables_equal_per_d_bisection(self, rows, beta, functional):
+        result = rows()
+        reference = self._per_d_boundaries(beta, [r["d"] for r in result], functional)
+        assert bits([r["lambda_lo"] for r in result]) == bits(reference)
+
+    @pytest.mark.parametrize(
+        "rows,name,dims",
+        [
+            (table3_rows, "spectrum_entropy", cli.TABLE3_REFERENCE),
+            (table4_rows, "spectrum_series_flat", cli.TABLE4_REFERENCE),
+        ],
+        ids=["table3", "table4"],
+    )
+    def test_isotropic_tables_one_witness_call_per_step(self, rows, name, dims, monkeypatch):
+        # one call on the 2k ends, then one per bisection step on the k
+        # midpoints, each a stack zero-padded to the largest d^2
+        shapes = []
+        functional = getattr(entropy, name)
+
+        def counted(stack, *args):
+            shapes.append(stack.shape)
+            return functional(stack, *args)
+
+        monkeypatch.setattr(entropy, name, counted)
+        rows()
+        k, width = len(dims), max(d * d for d in dims)
+        steps = math.ceil(math.log2(1.0 / BISECTION_TOL))
+        assert shapes == [(2 * k, width)] + [(k, width)] * steps
 
     @pytest.mark.parametrize("rows", [table3_rows, table4_rows])
     def test_isotropic_tables_diagonalize_once_per_d(self, rows, monkeypatch):

@@ -22,8 +22,15 @@ from absq.states import (
     isotropic,
     pure_schmidt,
     random_density,
-    random_product_state,
 )
+
+
+def random_product_state(da: int, db: int, seed) -> DensityMatrix:
+    """rho_A (x) rho_B with independent random factors."""
+    rng = np.random.default_rng(seed)
+    a = random_density((da,), rng)
+    b = random_density((db,), rng)
+    return DensityMatrix(np.kron(a.matrix, b.matrix), (da, db))
 
 
 def diag_state(*probs, dims=None):

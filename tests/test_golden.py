@@ -11,7 +11,8 @@ implementation that preceded the transfer-tensor channels and the einsum
 Bell projection; table2_points2001.csv was written before table2 shared one
 spectrum per grid state between its AC and AF scans; table2_points2.csv and
 the classify files were written before every CSV cell went through the one
-cell renderer of sweep.write_csv_rows.  A mismatch means an output digit
+cell renderer of sweep.write_csv_rows; table4_terms12.csv was written while
+each d of table4 was still bisected alone.  A mismatch means an output digit
 moved.  Explain such a change, never regenerate the files to make this
 pass.
 """
@@ -30,6 +31,7 @@ CASES = {
     "table2_points2001.csv": ("--out", ["table2"]),
     "table3.csv": ("--out", ["table3"]),
     "table4.csv": ("--out", ["table4"]),
+    "table4_terms12.csv": ("--out", ["table4", "--terms", "12"]),
     "swap_scan_global_depolarizing_r4.csv": (
         "--out", ["swap-scan", "--family", "global-depolarizing", "--resolution", "4"],
     ),

@@ -287,6 +287,26 @@ def test_spectral_functionals_stack_equals_members(d, count, seed):
                 assert type(one) is float and _same(stacked[i], one)
 
 
+@PROPERTY
+@given(
+    sizes=st.lists(st.sampled_from([1, 4, 9, 16, 25, 36]), min_size=1, max_size=6),
+    terms=st.integers(1, 20),
+    seed=SEEDS,
+)
+def test_zero_padding_drops_out(sizes, terms, seed):
+    # spectra of mixed lengths as the rows of one stack, zero-padded to the
+    # longest, as the isotropic tables evaluate their witnesses
+    rng = np.random.default_rng(seed)
+    rows = [_spectra(n, 1, rng)[0] for n in sizes]
+    padded = np.zeros((len(rows), max(sizes)))
+    for out, row in zip(padded, rows):
+        out[: row.size] = row
+    for f in (spectrum_entropy, lambda e: spectrum_series_flat(e, terms)):
+        stacked = f(padded)
+        for i, row in enumerate(rows):
+            assert _same(stacked[i], f(row))
+
+
 def _two_qubit(rng) -> np.ndarray:
     kind = rng.integers(0, 3)
     if kind == 0:  # pure: some Bell branches carry no probability
