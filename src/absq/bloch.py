@@ -65,19 +65,21 @@ def gell_mann_basis(d: int) -> np.ndarray:
     return basis
 
 
-def decompose_bipartite(rho: DensityMatrix) -> BlochBipartite:
-    """Coefficients a_m, b_n, t_mn of the identity/Gell-Mann expansion.
+def _augmented(d: int) -> np.ndarray:
+    """F = [I, s_1, ..., s_{d^2-1}] as one (d^2, d, d) array."""
+    return np.concatenate([np.eye(d, dtype=complex)[None], gell_mann_basis(d)])
 
-    Fixed by the orthogonality relation Tr(s_m s_n) = 2 delta_mn:
-    a_m = (d/2) Tr(rho s_m x I), b_n likewise, t_mn = (d^2/4) Tr(rho s_m x s_n).
-    """
+
+def decompose_bipartite(rho: DensityMatrix) -> BlochBipartite:
+    """Coefficients a_m, b_n, t_mn of the identity/Gell-Mann expansion: with
+    C_mn = Tr(rho F_m x F_n) over F = [I, s_1, ...] (one einsum) and
+    Tr(s_m s_n) = 2 delta_mn, a = (d/2) C[1:, 0], b = (d/2) C[0, 1:] and
+    t = (d^2/4) C[1:, 1:]."""
     d = _local_dim(rho)
-    basis = gell_mann_basis(d)
+    full = _augmented(d)
     r = rho.matrix.reshape(d, d, d, d)
-    a = (d / 2.0) * np.real(np.einsum("abcb,mca->m", r, basis))
-    b = (d / 2.0) * np.real(np.einsum("abad,ndb->n", r, basis))
-    t = (d * d / 4.0) * np.real(np.einsum("abcd,mca,ndb->mn", r, basis, basis))
-    return BlochBipartite(d, a, b, t)
+    c = np.real(np.einsum("abcd,mca,ndb->mn", r, full, full))
+    return BlochBipartite(d, (d / 2.0) * c[1:, 0], (d / 2.0) * c[0, 1:], (d * d / 4.0) * c[1:, 1:])
 
 
 def reconstruct_bipartite(bb: BlochBipartite) -> np.ndarray:
@@ -85,7 +87,7 @@ def reconstruct_bipartite(bb: BlochBipartite) -> np.ndarray:
     d = bb.d
     c = np.empty((d * d, d * d))
     c[0, 0], c[1:, 0], c[0, 1:], c[1:, 1:] = 1.0, bb.a, bb.b, bb.t
-    full = np.concatenate([np.eye(d, dtype=complex)[None], gell_mann_basis(d)])  # [I, s_1, ...]
+    full = _augmented(d)
     m = np.einsum("mn,mac,nbd->abcd", c / (d * d), full, full, optimize=True)
     return m.reshape(d * d, d * d)
 
@@ -101,20 +103,18 @@ def purity_from_bloch(bb: BlochBipartite) -> float:
 
 
 def decompose_tripartite(rho: DensityMatrix) -> BlochTripartite:
-    """Raw correlation tensors t^x_i = Tr(rho s_i x I x I) and friends."""
+    """Raw correlation tensors t1 = C[1:, 0, 0], t12 = C[1:, 1:, 0], ...,
+    t123 = C[1:, 1:, 1:] of C_ijk = Tr(rho F_i x F_j x F_k) over
+    F = [I, s_1, ...] (one einsum)."""
     if len(rho.dims) != 3 or len(set(rho.dims)) != 1:
         raise DimensionMismatch(f"expected three equal dims, got {rho.dims}")
     d = rho.dims[0]
-    basis = gell_mann_basis(d)
+    full = _augmented(d)
     r = rho.matrix.reshape(d, d, d, d, d, d)
-    t1 = np.real(np.einsum("abcdbc,ida->i", r, basis))
-    t2 = np.real(np.einsum("abcaec,jeb->j", r, basis))
-    t3 = np.real(np.einsum("abcabf,kfc->k", r, basis))
-    t12 = np.real(np.einsum("abcdec,ida,jeb->ij", r, basis, basis))
-    t13 = np.real(np.einsum("abcdbf,ida,kfc->ik", r, basis, basis))
-    t23 = np.real(np.einsum("abcaef,jeb,kfc->jk", r, basis, basis))
-    t123 = np.real(np.einsum("abcdef,ida,jeb,kfc->ijk", r, basis, basis, basis))
-    return BlochTripartite(d, t1, t2, t3, t12, t13, t23, t123)
+    c = np.real(np.einsum("abcdef,ida,jeb,kfc->ijk", r, full, full, full))
+    return BlochTripartite(
+        d, c[1:, 0, 0], c[0, 1:, 0], c[0, 0, 1:], c[1:, 1:, 0], c[1:, 0, 1:], c[0, 1:, 1:], c[1:, 1:, 1:]
+    )
 
 
 def reconstruct_tripartite(bt: BlochTripartite) -> np.ndarray:
@@ -125,7 +125,7 @@ def reconstruct_tripartite(bt: BlochTripartite) -> np.ndarray:
     c[1:, 0, 0], c[0, 1:, 0], c[0, 0, 1:] = (t / (2 * d * d) for t in (bt.t1, bt.t2, bt.t3))
     c[1:, 1:, 0], c[1:, 0, 1:], c[0, 1:, 1:] = (t / (4 * d) for t in (bt.t12, bt.t13, bt.t23))
     c[1:, 1:, 1:] = bt.t123 / 8.0
-    full = np.concatenate([np.eye(d, dtype=complex)[None], gell_mann_basis(d)])  # [I, s_1, ...]
+    full = _augmented(d)
     m = np.einsum("ijk,iad,jbe,kcf->abcdef", c, full, full, full, optimize=True)
     return m.reshape(d**3, d**3)
 

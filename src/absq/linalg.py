@@ -62,11 +62,8 @@ def _jacobi_rotate(a: np.ndarray, p: int, q: int) -> None:
     phase = apq / r
     app = a[p, p].real
     aqq = a[q, q].real
-    if app == aqq:
-        t = 1.0
-    else:
-        tau = (aqq - app) / (2.0 * r)
-        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+    tau = (aqq - app) / (2.0 * r)  # app == aqq gives tau = +0.0 and so t = 1
+    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
     c = 1.0 / math.sqrt(1.0 + t * t)
     s = t * c
     s_ph = s * phase
@@ -92,8 +89,7 @@ def _jacobi_rotate_stack(a: np.ndarray, p: int, q: int, r: np.ndarray) -> None:
     # abs of a complex scalar does; np.abs of a complex array does not)
     phase = a[:, p, q] / r
     tau = ((a[:, q, q].real - a[:, p, p].real) / (2.0 * r)).tolist()
-    # math.hypot as in _jacobi_rotate (np.hypot rounds differently near
-    # |tau| = 1); app == aqq gives tau = +0.0 and so t = 1
+    # math.hypot as in _jacobi_rotate (np.hypot rounds differently near |tau| = 1)
     t = np.array([math.copysign(1.0, x) / (abs(x) + math.hypot(1.0, x)) for x in tau])
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c

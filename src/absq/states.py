@@ -99,10 +99,6 @@ class DensityMatrix:
             raise InvalidState(f"trace = {complex(traces[first]):.12g}, expected 1")
         raise InvalidState(f"negative eigenvalue {lowest[first]:.3e} below PSD floor")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def marginal(self, keep) -> "DensityMatrix":
         """Reduced state on the kept subsystems."""
         keep = sorted(set(keep))

@@ -157,7 +157,7 @@ def retrieval_grid(rho_ab: np.ndarray, rho_bc: np.ndarray) -> RetrievalGrid:
     probs = np.empty(shape)
     entropies = np.full(shape, np.nan)
     left = np.zeros(shape, dtype=bool)
-    rows = max(1, _BLOCK_PAIRS // len(bc))
+    rows = max(1, _BLOCK_PAIRS // max(1, len(bc)))
     for lo in range(0, len(ab), rows):
         block = slice(lo, lo + rows)
         probs[block], conds = _branches(ab[block, None], bc[None, :])

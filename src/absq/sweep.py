@@ -118,8 +118,11 @@ def intervals(
     already at hand, and an endpoint on the grid's edge reports its grid
     value as its witness.  Returns one list of Interval per criterion,
     empty where the criterion never holds on the grid.  A NaN witness, on
-    the grid or at a midpoint, raises NoSignChange.
+    the grid or at a midpoint, raises NoSignChange; fewer than 2 points,
+    OutOfRange.
     """
+    if points < 2:
+        raise OutOfRange(f"points must be >= 2, got {points}")
     criteria = list(criteria)
     for _, _, sense in criteria:
         if sense not in (">=", "<="):

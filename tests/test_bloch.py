@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,18 @@ from absq.bloch import (
 from absq.entropy import trace_power
 from absq.errors import DimensionMismatch, OutOfRange
 from absq.linalg import partial_trace
-from absq.states import DensityMatrix, bell_state, ghz_w_mix, random_density
+from absq.states import (
+    DensityMatrix,
+    acin_tripartite,
+    acin_two_param,
+    bell_state,
+    depolarized_schmidt,
+    ghz_w_mix,
+    isotropic,
+    random_density,
+)
+
+from conftest import bits
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -163,3 +176,77 @@ class TestTripartite:
         bt = decompose_tripartite(ghz_w_mix(0.5))
         with pytest.raises(OutOfRange):
             pair_tensors(bt, "21")
+
+
+# The expansion one einsum per correlation block: the reference for the one
+# contraction over [I, s_1, ...] that the decompositions make.
+
+
+def per_block_bipartite(rho):
+    d = rho.dims[0]
+    basis = gell_mann_basis(d)
+    r = rho.matrix.reshape(d, d, d, d)
+    a = (d / 2.0) * np.real(np.einsum("abcb,mca->m", r, basis))
+    b = (d / 2.0) * np.real(np.einsum("abad,ndb->n", r, basis))
+    t = (d * d / 4.0) * np.real(np.einsum("abcd,mca,ndb->mn", r, basis, basis))
+    return {"a": a, "b": b, "t": t}
+
+
+def per_block_tripartite(rho):
+    d = rho.dims[0]
+    basis = gell_mann_basis(d)
+    r = rho.matrix.reshape(d, d, d, d, d, d)
+    return {
+        "t1": np.real(np.einsum("abcdbc,ida->i", r, basis)),
+        "t2": np.real(np.einsum("abcaec,jeb->j", r, basis)),
+        "t3": np.real(np.einsum("abcabf,kfc->k", r, basis)),
+        "t12": np.real(np.einsum("abcdec,ida,jeb->ij", r, basis, basis)),
+        "t13": np.real(np.einsum("abcdbf,ida,kfc->ik", r, basis, basis)),
+        "t23": np.real(np.einsum("abcaef,jeb,kfc->jk", r, basis, basis)),
+        "t123": np.real(np.einsum("abcdef,ida,jeb,kfc->ijk", r, basis, basis, basis)),
+    }
+
+
+def bipartite_states():
+    yield from (bell_state(k) for k in range(4))
+    for d in (2, 3, 4):
+        yield from (isotropic(d, beta) for beta in (0.0, 0.3, 1.0))
+    yield from (depolarized_schmidt(theta, p) for theta in (0.2, 0.9) for p in (0.0, 0.5, 1.0))
+    yield acin_two_param(0.9, math.pi / 4)
+    for d in (2, 3, 4, 5):
+        yield from (random_density((d, d), seed) for seed in range(10))
+
+
+def tripartite_states():
+    x = np.array([0.5, 0.4, 0.3, 0.5, 0.5])
+    yield from (acin_tripartite(x, theta) for theta in (0.0, 1.1, math.pi))
+    yield from (ghz_w_mix(p) for p in np.linspace(0.0, 1.0, 5))
+    yield DensityMatrix(np.eye(8) / 8, (2, 2, 2))
+    yield DensityMatrix(np.diag([1.0] + [0.0] * 7), (2, 2, 2))
+    yield from (random_density((2, 2, 2), seed) for seed in range(20))
+    yield from (random_density((3, 3, 3), seed) for seed in range(3))
+
+
+class TestOneContraction:
+    def test_bipartite_equals_per_block_einsums(self):
+        for rho in bipartite_states():
+            bb = decompose_bipartite(rho)
+            for field, want in per_block_bipartite(rho).items():
+                assert bits(getattr(bb, field)) == bits(want), (rho.dims, field)
+
+    def test_tripartite_equals_per_block_einsums(self):
+        for rho in tripartite_states():
+            bt = decompose_tripartite(rho)
+            for field, want in per_block_tripartite(rho).items():
+                assert bits(getattr(bt, field)) == bits(want), (rho.dims, field)
+
+    @pytest.mark.parametrize(
+        "decompose,rho",
+        [(decompose_bipartite, bell_state(0)), (decompose_tripartite, ghz_w_mix(0.5))],
+    )
+    def test_one_einsum_call(self, decompose, rho, monkeypatch):
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(args[0]) or einsum(*args, **kw))
+        decompose(rho)
+        assert len(calls) == 1

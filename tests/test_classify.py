@@ -7,6 +7,7 @@ import pytest
 from absq.bloch import decompose_bipartite, decompose_tripartite
 from absq.channels import double_apply, make_channel
 from absq.classify import (
+    _acrenn,
     acre2nn_bloch,
     classification_report,
     is_acre2nn,
@@ -16,9 +17,9 @@ from absq.classify import (
     majorizes,
     marginal_acre2nn,
 )
-from absq.entropy import renyi
+from absq.entropy import renyi, spectrum_power
 from absq.errors import AlphaOutOfDomain, DimensionMismatch, SumMismatch
-from absq.linalg import haar_unitary
+from absq.linalg import eigvals_hermitian, haar_unitary
 from absq.states import (
     DensityMatrix,
     acin_tripartite,
@@ -28,6 +29,8 @@ from absq.states import (
     pure_schmidt,
     random_density,
 )
+
+from conftest import bits
 
 
 def phase_damped_pi4(p):
@@ -93,13 +96,22 @@ class TestAcrenn:
 
     def test_equivalent_to_renyi_threshold(self):
         # trace-power comparison against d^(1-alpha) must agree with the
-        # entropy comparison against log2 d on every sampled state
-        for seed in range(200):
-            rho = random_density((2, 2), seed)
-            for alpha in (0.3, 0.7, 2.0, 5.0):
-                by_trace = is_acrenn(rho, alpha)[0]
-                by_entropy = renyi(rho, alpha) >= 1.0 - 1e-9
-                assert by_trace == by_entropy
+        # entropy comparison against log2 d on every sampled state; the
+        # states are one stack, solved in one call, and the first, an
+        # interior and the last member are checked bitwise against
+        # is_acrenn and renyi
+        rhos = [random_density((2, 2), seed) for seed in range(200)]
+        eigs = eigvals_hermitian(np.array([rho.matrix for rho in rhos]))
+        for alpha in (0.3, 0.7, 2.0, 5.0):
+            by_trace = _acrenn(eigs, 2, alpha)[0]
+            power = spectrum_power(eigs, alpha)
+            # renyi's arithmetic member by member: math.log2 of Tr rho^alpha
+            entropies = np.array([math.log2(w) for w in power]) / (1.0 - alpha)
+            assert np.array_equal(by_trace, entropies >= 1.0 - 1e-9)
+            for i in (0, 100, len(rhos) - 1):
+                ok, witness = is_acrenn(rhos[i], alpha)
+                assert ok == by_trace[i] and bits(witness) == bits(power[i])
+                assert bits(renyi(rhos[i], alpha)) == bits(entropies[i])
 
 
 class TestAcre2nn:

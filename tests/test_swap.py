@@ -84,6 +84,18 @@ class TestSwapConditionals:
             swap_conditionals(random_density((2,), rng), bell_state(0))
 
 
+@pytest.mark.parametrize("empty", ["rho_ab", "rho_bc"])
+def test_retrieval_grid_of_an_empty_stack(empty):
+    # an empty side gives an empty grid, not a division by its length
+    full = np.array([bell_state(0).matrix, depolarized_schmidt(0.3, 0.8).matrix])
+    none = np.zeros((0, 4, 4), dtype=complex)
+    grid = retrieval_grid(none, full) if empty == "rho_ab" else retrieval_grid(full, none)
+    shape = (0, 2) if empty == "rho_ab" else (2, 0)
+    assert grid.probabilities.shape == grid.conditional_entropies.shape == shape + (4,)
+    assert grid.success.shape == shape
+    assert (len(grid.member_ab), len(grid.member_bc)) == shape
+
+
 class TestRetrievalSuccess:
     def test_bell_inputs_fail_membership(self):
         ok, report = retrieval_success(bell_state(0), bell_state(0))

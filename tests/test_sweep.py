@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from absq.entropy import series_estimate, series_estimate_flat, von_neumann
-from absq.errors import NoSignChange
+from absq.errors import NoSignChange, OutOfRange
 from absq.linalg import eigvals_hermitian
 from absq.states import acin_two_param, depolarized_schmidt, isotropic
 from absq.channels import double_apply, global_depolarize, make_channel
@@ -99,6 +99,13 @@ class TestIntervals:
         assert len(found) == 1
         found = one_criterion(lambda x: np.cos(2 * math.pi * x), 0, 1, 0.5, ">=", points=401)
         assert len(found) == 2
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_rejects_a_grid_of_fewer_than_two_points(self, points):
+        calls = []
+        with pytest.raises(OutOfRange, match=f"points must be >= 2, got {points}$"):
+            one_criterion(lambda x: calls.append(x) or x, 0.0, 1.0, 0.5, ">=", points=points)
+        assert calls == []
 
     def test_grid_values_are_not_reevaluated(self):
         # one interior crossing: one call on the 51-point grid, then one
