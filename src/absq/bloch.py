@@ -92,14 +92,17 @@ def reconstruct_bipartite(bb: BlochBipartite) -> np.ndarray:
     return m.reshape(d * d, d * d)
 
 
+def _norm2(x: np.ndarray) -> float:
+    """Squared norm sum(x * x) of a Bloch vector or correlation tensor; the
+    same float for a strided view as for its contiguous copy."""
+    return float(np.sum(x * x))
+
+
 def purity_from_bloch(bb: BlochBipartite) -> float:
     """Tr(rho^2) expressed through the Bloch data:
     (d^2 + 2d ||a||^2 + 2d ||b||^2 + 4 ||t||^2) / d^4."""
     d = bb.d
-    na = float(np.dot(bb.a, bb.a))
-    nb = float(np.dot(bb.b, bb.b))
-    nt = float(np.sum(bb.t * bb.t))
-    return (d * d + 2 * d * na + 2 * d * nb + 4 * nt) / d**4
+    return (d * d + 2 * d * _norm2(bb.a) + 2 * d * _norm2(bb.b) + 4 * _norm2(bb.t)) / d**4
 
 
 def decompose_tripartite(rho: DensityMatrix) -> BlochTripartite:
@@ -149,7 +152,6 @@ def pair_tensors(bt: BlochTripartite, pair: str):
 def marginal_purity(bt: BlochTripartite, pair: str) -> float:
     """Purity of the two-party marginal assembled from Bloch data:
     1/d^2 + (||t_x||^2 + ||t_y||^2) / (2d) + ||t_xy||^2 / 4."""
-    nx, ny, nxy = pair_tensors(bt, pair)
+    tx, ty, txy = pair_tensors(bt, pair)
     d = bt.d
-    m = float(np.dot(nx, nx)) + float(np.dot(ny, ny))
-    return 1.0 / (d * d) + m / (2 * d) + float(np.sum(nxy * nxy)) / 4.0
+    return 1.0 / (d * d) + (_norm2(tx) + _norm2(ty)) / (2 * d) + _norm2(txy) / 4.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CompletenessViolation, DimensionMismatch, OutOfRange
-from .states import DensityMatrix, _local_dim, _unit_interval
+from .states import DensityMatrix, _local_dim, _require_two_qubit, _unit_interval
 from .tolerances import HERMITICITY_TOL
 
 _I2 = np.eye(2, dtype=complex)
@@ -114,8 +114,7 @@ def transfer_stack(name: str, ps) -> np.ndarray:
 
 def double_apply(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply ch_a to subsystem A and ch_b to subsystem B of a two-qubit state."""
-    if rho.dims != (2, 2):
-        raise DimensionMismatch(f"expected a (2, 2) state, got dims {rho.dims}")
+    _require_two_qubit(rho, "rho")
     if ch_a.dim != 2 or ch_b.dim != 2:
         raise DimensionMismatch("double_apply needs single-qubit channels")
     return DensityMatrix(_sandwich(ch_a.transfer, ch_b.transfer, rho.matrix), rho.dims)

@@ -12,12 +12,21 @@ import math
 
 import numpy as np
 
-from .bloch import BlochBipartite, BlochTripartite, pair_tensors
+from .bloch import BlochBipartite, BlochTripartite, _norm2, pair_tensors
 from .entropy import _per_spectrum, check_alpha, spectrum_entropy, spectrum_power
 from .errors import DimensionMismatch, SumMismatch
 from .linalg import eigvals_hermitian
 from .states import DensityMatrix, _local_dim
-from .tolerances import CLASS_MARGIN
+from .tolerances import CLASS_MARGIN, MAJORIZATION_PREFIX_TOL, MAJORIZATION_SUM_TOL
+
+
+def _verdict(witness, sense: str, bound):
+    """(verdict, witness) for the class comparison witness >= bound or
+    witness <= bound, as sense says, inclusive with the CLASS_MARGIN guard
+    band; every class verdict is made here."""
+    if sense == ">=":
+        return witness >= bound - CLASS_MARGIN, witness
+    return witness <= bound + CLASS_MARGIN, witness
 
 
 # Spectrum-level verdicts: eigs is the non-increasing spectrum of a d x d
@@ -27,26 +36,19 @@ from .tolerances import CLASS_MARGIN
 
 
 def _afef(eigs: np.ndarray, d: int) -> tuple[bool, float]:
-    lam_max = _per_spectrum(eigs[..., 0])
-    return lam_max <= 1.0 / d + CLASS_MARGIN, lam_max
+    return _verdict(_per_spectrum(eigs[..., 0]), "<=", 1.0 / d)
 
 
 def _acvenn(eigs: np.ndarray, d: int) -> tuple[bool, float]:
-    s = spectrum_entropy(eigs)
-    return s >= math.log2(d) - CLASS_MARGIN, s
+    return _verdict(spectrum_entropy(eigs), ">=", math.log2(d))
 
 
 def _acrenn(eigs: np.ndarray, d: int, alpha: float) -> tuple[bool, float]:
-    witness = spectrum_power(eigs, alpha)
-    bound = d ** (1.0 - alpha)
-    if alpha < 1:
-        return witness >= bound - CLASS_MARGIN, witness
-    return witness <= bound + CLASS_MARGIN, witness
+    return _verdict(spectrum_power(eigs, alpha), ">=" if alpha < 1 else "<=", d ** (1.0 - alpha))
 
 
 def _acre2nn(eigs: np.ndarray, d: int) -> tuple[bool, float]:
-    purity = spectrum_power(eigs, 2)
-    return purity <= 1.0 / d + CLASS_MARGIN, purity
+    return _verdict(spectrum_power(eigs, 2), "<=", 1.0 / d)
 
 
 def is_afef(rho: DensityMatrix) -> tuple[bool, float]:
@@ -82,11 +84,8 @@ def acre2nn_bloch(bb: BlochBipartite) -> tuple[bool, float]:
     """Purity criterion restated on Bloch data:
     ||T||^2 <= (d^2 (d - 1) - 2d (||a||^2 + ||b||^2)) / 4."""
     d = bb.d
-    na = float(np.dot(bb.a, bb.a))
-    nb = float(np.dot(bb.b, bb.b))
-    witness = float(np.sum(bb.t * bb.t))
-    bound = (d * d * (d - 1) - 2 * d * (na + nb)) / 4.0
-    return witness <= bound + CLASS_MARGIN, witness
+    bound = (d * d * (d - 1) - 2 * d * (_norm2(bb.a) + _norm2(bb.b))) / 4.0
+    return _verdict(_norm2(bb.t), "<=", bound)
 
 
 def marginal_acre2nn(bt: BlochTripartite, pair: str) -> tuple[bool, float]:
@@ -94,10 +93,8 @@ def marginal_acre2nn(bt: BlochTripartite, pair: str) -> tuple[bool, float]:
     ||T_xy||^2 <= (4(d - 1) - 2 m d) / d^2 with m = ||T_x||^2 + ||T_y||^2."""
     tx, ty, txy = pair_tensors(bt, pair)
     d = bt.d
-    m = float(np.dot(tx, tx)) + float(np.dot(ty, ty))
-    witness = float(np.sum(txy * txy))
-    bound = (4.0 * (d - 1) - 2.0 * m * d) / (d * d)
-    return witness <= bound + CLASS_MARGIN, witness
+    bound = (4.0 * (d - 1) - 2.0 * (_norm2(tx) + _norm2(ty)) * d) / (d * d)
+    return _verdict(_norm2(txy), "<=", bound)
 
 
 def majorizes(r, s) -> bool:
@@ -107,12 +104,12 @@ def majorizes(r, s) -> bool:
     s = np.asarray(s, dtype=float)
     if r.shape != s.shape or r.ndim != 1:
         raise DimensionMismatch(f"vectors must share one shape, got {r.shape} and {s.shape}")
-    if abs(float(np.sum(r) - np.sum(s))) > 1e-10:
+    if abs(float(np.sum(r) - np.sum(s))) > MAJORIZATION_SUM_TOL:
         raise SumMismatch(f"totals differ: {np.sum(r):.12g} vs {np.sum(s):.12g}")
     rd = np.sort(r)[::-1]
     sd = np.sort(s)[::-1]
     prefix = np.cumsum(rd) - np.cumsum(sd)
-    return bool(np.all(prefix >= -1e-12))
+    return bool(np.all(prefix >= -MAJORIZATION_PREFIX_TOL))
 
 
 @dataclass

@@ -29,6 +29,26 @@ class SpecError(UsageError):
     pass
 
 
+def _finite_float(text: str) -> float:
+    """text as a finite float, else argparse.ArgumentTypeError: the type of
+    --p2 and --p4 (a usage error, exit 2), and the parse of a spec value."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _numbers(text: str) -> list[float] | None:
+    """The comma-separated floats of text, or None if some part is not one."""
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError:
+        return None
+
+
 def parse_spec(text: str) -> tuple[str, dict]:
     """Parse the `name:key=value,key=value` mini-grammar.
 
@@ -50,15 +70,12 @@ def parse_spec(text: str) -> tuple[str, dict]:
         if key in params:
             raise SpecError(f"repeated key {key!r} at position {pos} in {text!r}")
         try:
-            number = float(value)
-        except ValueError:
-            number = math.nan
-        if not math.isfinite(number):
+            params[key] = _finite_float(value)
+        except argparse.ArgumentTypeError:
             raise SpecError(
                 f"expected a finite number at position {pos + len(key) + 1} in {text!r}, "
                 f"got {value!r}"
-            )
-        params[key] = number
+            ) from None
         pos += len(field) + 1
     return name, params
 
@@ -141,10 +158,9 @@ def cmd_classify(args) -> int:
     if args.alpha is None:
         alphas = (0.5, 2.0)
     else:
-        try:
-            alphas = tuple(float(a) for a in args.alpha.split(","))
-        except ValueError:
-            raise SpecError(f"--alpha expects comma-separated numbers, got {args.alpha!r}") from None
+        alphas = _numbers(args.alpha)
+        if alphas is None:
+            raise SpecError(f"--alpha expects comma-separated numbers, got {args.alpha!r}")
         repeated = [a for i, a in enumerate(alphas) if a in alphas[:i]]
         if repeated:
             raise SpecError(f"--alpha repeats the order {repeated[0]:g} in {args.alpha!r}")
@@ -226,26 +242,25 @@ def table2_rows(points: int = 2001):
     ]
     # every call of the witness, on the grids of all scans or on one
     # bisection step of all brackets, is one stack of states built,
-    # validated and solved at once; each (scan, p) is solved once and kept,
-    # so the AC and AF scans share their states
-    spectra: dict = {}
+    # validated and solved at once; each distinct (scan, p) of a call is
+    # solved once, so the AC and AF scans share their states (no state
+    # recurs from one call to a later one)
 
     def witness(which, ps):
         keys = list(zip((which // 2).tolist(), ps.tolist()))
-        todo = sorted(set(keys).difference(spectra))  # scan order, so by channel
-        if todo:
-            # every Kraus set padded to four by zero operators, which add nothing
-            kraus = np.zeros((len(todo), 4, 2, 2), dtype=complex)
-            start = 0
-            for channel, group in itertools.groupby(todo, key=lambda key: scans[key[0]][0]):
-                ops = channels._kraus_stack(channel, [p for _, p in group])
-                kraus[start : start + len(ops), : ops.shape[1]] = ops
-                start += len(ops)
-            s = channels._transfer(kraus)
-            one_sided = np.array([scans[k][1] == 1 for k, _ in todo])[:, None, None, None, None]
-            rho = channels.double_apply_stack(s, np.where(one_sided, ident, s), base)
-            states.DensityMatrix.validate(rho)
-            spectra.update(zip(todo, eigvals_hermitian(rho)))
+        todo = sorted(set(keys))  # scan order, so by channel
+        # every Kraus set padded to four by zero operators, which add nothing
+        kraus = np.zeros((len(todo), 4, 2, 2), dtype=complex)
+        start = 0
+        for channel, group in itertools.groupby(todo, key=lambda key: scans[key[0]][0]):
+            ops = channels._kraus_stack(channel, [p for _, p in group])
+            kraus[start : start + len(ops), : ops.shape[1]] = ops
+            start += len(ops)
+        s = channels._transfer(kraus)
+        one_sided = np.array([scans[k][1] == 1 for k, _ in todo])[:, None, None, None, None]
+        rho = channels.double_apply_stack(s, np.where(one_sided, ident, s), base)
+        states.DensityMatrix.validate(rho)
+        spectra = dict(zip(todo, eigvals_hermitian(rho)))
         spec = np.array([spectra[key] for key in keys])
         values = spec[:, 0]  # AF: the largest eigenvalue
         ac = which % 2 == 0
@@ -400,17 +415,6 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a finite float, else a usage error (exit 2)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="absq",
@@ -460,21 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
-def _is_number_list(text: str) -> bool:
-    try:
-        [float(part) for part in text.split(",")]
-    except ValueError:
-        return False
-    return True
-
-
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """`--opt -1e-3` as `--opt=-1e-3`: argparse reads a token that starts with
     '-' as an option unless it looks like -N or -N.N, so -inf, -nan, -1e3 or
     -0.5,2 would end in "expected one argument" before any value check."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-") and _is_number_list(token):
+        option = out and out[-1].startswith("--") and "=" not in out[-1]
+        if option and token.startswith("-") and _numbers(token) is not None:
             out[-1] += "=" + token
         else:
             out.append(token)

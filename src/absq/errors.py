@@ -38,6 +38,10 @@ class CompletenessViolation(AbsqError, RuntimeError):
     """Kraus operators do not resolve the identity."""
 
 
+class NotConverged(AbsqError, RuntimeError):
+    """The eigensolver did not converge."""
+
+
 class AlphaOutOfDomain(AbsqError):
     """Renyi order outside (0, 1) | (1, inf)."""
 

@@ -21,17 +21,21 @@ import string
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch, NotConverged, NotHermitian
 from .tolerances import HERMITICITY_TOL, JACOBI_OFFDIAG_TOL
 
 _MAX_SWEEPS = 100
 
 
-def _require_square(m: np.ndarray) -> int:
-    """Side n of a square matrix or of a stack (..., n, n) of them."""
+def _require_square(m: np.ndarray, dims=None) -> int:
+    """Side n of a square matrix or of a stack (..., n, n) of them; given
+    subsystem dims, their product must be n."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return m.shape[-1]
+    n = m.shape[-1]
+    if dims is not None and math.prod(dims) != n:
+        raise DimensionMismatch(f"prod(dims)={math.prod(dims)} != matrix dim {n}")
+    return n
 
 
 def _hermitian_defect(m: np.ndarray) -> np.ndarray:
@@ -186,7 +190,7 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
                 _jacobi_step(swept, p, q, swept_floors)
             a[rotating] = swept
     else:  # cyclic Jacobi converges long before this
-        raise RuntimeError("Jacobi iteration failed to converge")
+        raise NotConverged("Jacobi iteration failed to converge")
     eigs = np.diagonal(a, axis1=1, axis2=2).real
     return np.sort(eigs.reshape(m.shape[:-1]), axis=-1)[..., ::-1]
 
@@ -200,10 +204,8 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> np.
     result acts on those subsystems in their original order.
     """
     m = np.asarray(m, dtype=complex)
-    n = _require_square(m)
     dims = list(dims)
-    if int(np.prod(dims)) != n:
-        raise DimensionMismatch(f"prod(dims)={int(np.prod(dims))} != matrix dim {n}")
+    _require_square(m, dims)
     keep = sorted(set(keep))
     if not keep or keep[0] < 0 or keep[-1] >= len(dims):
         raise DimensionMismatch(f"keep={keep} invalid for {len(dims)} subsystems")

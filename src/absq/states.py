@@ -20,7 +20,7 @@ from .linalg import (
     eigvals_hermitian,
     partial_trace,
 )
-from .tolerances import HERMITICITY_TOL, PSD_FLOOR, TRACE_TOL
+from .tolerances import BETA_SLACK, HERMITICITY_TOL, PSD_FLOOR, TRACE_TOL
 
 
 def _factorizes(h: np.ndarray) -> bool:
@@ -46,12 +46,9 @@ class DensityMatrix:
         if not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
             raise DimensionMismatch(f"subsystem dims must be integers >= 1, got {dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in dims))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-        if int(np.prod(self.dims)) != m.shape[0]:
-            raise DimensionMismatch(
-                f"prod(dims)={int(np.prod(self.dims))} != matrix dim {m.shape[0]}"
-            )
+        _require_square(m, self.dims)
         self.validate(m)
 
     @staticmethod
@@ -111,6 +108,12 @@ def _local_dim(rho: DensityMatrix) -> int:
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DimensionMismatch(f"expected equal bipartite dims, got {rho.dims}")
     return rho.dims[0]
+
+
+def _require_two_qubit(rho: DensityMatrix, name: str) -> None:
+    """Any dims of the state called name other than (2, 2) raise DimensionMismatch."""
+    if rho.dims != (2, 2):
+        raise DimensionMismatch(f"{name}: expected a (2, 2) state, got dims {rho.dims}")
 
 
 def _unit_interval(ps) -> np.ndarray:
@@ -203,7 +206,7 @@ def isotropic(d: int, beta: float) -> DensityMatrix:
     if not (d >= 2):
         raise OutOfRange(f"d={d} must be >= 2")
     lo = -1.0 / (d * d - 1)
-    if not (lo - 1e-12 <= beta <= 1 + 1e-12):
+    if not (lo - BETA_SLACK <= beta <= 1 + BETA_SLACK):
         raise OutOfRange(f"beta={beta} outside [{lo}, 1]")
     m = beta * _projector(max_entangled(d)) + (1.0 - beta) * np.eye(d * d) / (d * d)
     return DensityMatrix(m, (d, d))
@@ -222,7 +225,7 @@ def acin_tripartite(x, theta: float) -> DensityMatrix:
     if not (0 <= theta <= math.pi):
         raise OutOfRange(f"theta={theta} outside [0, pi]")
     norm2 = float(np.sum(x * x))
-    if abs(norm2 - 1.0) > 1e-10:
+    if abs(norm2 - 1.0) > TRACE_TOL:  # the trace of its projector
         raise NotNormalized(f"sum(x_i^2) = {norm2:.12g}, expected 1")
     vec = np.zeros(8, dtype=complex)
     vec[0] = x[0]

@@ -20,7 +20,7 @@ import numpy as np
 from .classify import _acvenn
 from .errors import DimensionMismatch
 from .linalg import eigvals_hermitian
-from .states import _BELL_VECTORS, DensityMatrix
+from .states import _BELL_VECTORS, DensityMatrix, _require_two_qubit
 from .tolerances import PROB_FLOOR
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
@@ -69,11 +69,6 @@ class RetrievalGrid:
 # few KB, so a block's working set stays near 1 MB whatever the grid; a
 # block already holds enough pairs that the per-call overhead is small
 _BLOCK_PAIRS = 256
-
-
-def _require_two_qubit(rho: DensityMatrix, name: str) -> None:
-    if rho.dims != (2, 2):
-        raise DimensionMismatch(f"{name} must have dims (2, 2), got {rho.dims}")
 
 
 def _branches(ab: np.ndarray, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

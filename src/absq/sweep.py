@@ -96,16 +96,9 @@ def _side_by_side(f, bisections) -> list[float]:
     return found
 
 
-def intervals(
-    f,
-    criteria,
-    lo: float,
-    hi: float,
-    points: int = 2001,
-    tol: float = BISECTION_TOL,
-) -> list[list[Interval]]:
+def intervals(f, criteria, lo: float, hi: float, points: int = 2001) -> list[list[Interval]]:
     """Maximal sub-intervals of [lo, hi] on which each criterion holds,
-    endpoints refined by bisection.
+    endpoints refined by bisection to BISECTION_TOL.
 
     criteria is a sequence of (name, target, sense): the criterion holds
     where its witness is >= target (sense ">=") or <= target (sense
@@ -139,19 +132,19 @@ def intervals(
         return np.asarray(f(np.array(keys, dtype=int), np.array(x, dtype=float)), dtype=float)
 
     # each run of grid points where a criterion holds, as (criterion, left
-    # end, right end); an end on the grid's edge is its (x, witness), any
-    # other end the index of its bisection
+    # end, right end); an end on the grid's edge, or at a grid point whose
+    # witness equals the target (where bisection would stop at once), is
+    # its (x, witness), any other end the index of its bisection
     runs = []
     bisections = []
 
     def end(c: int, k: int, inner: int):
         # the end between grid points k (outside the run) and inner
-        if k < 0 or k == points:
+        if k < 0 or k == points or vals[c, inner] == criteria[c][1]:
             return xs[inner], vals[c, inner]
         a, b = sorted((k, inner), key=lambda n: (xs[n], n))
-        bisections.append(
-            (c, _bisection(float(xs[a]), float(xs[b]), vals[c, a], vals[c, b], criteria[c][1], tol))
-        )
+        f_a, f_b, target = vals[c, a], vals[c, b], criteria[c][1]
+        bisections.append((c, _bisection(float(xs[a]), float(xs[b]), f_a, f_b, target, BISECTION_TOL)))
         return len(bisections) - 1
 
     for c, (_, target, sense) in enumerate(criteria):

@@ -11,7 +11,7 @@ HERMITICITY_TOL = 1e-10
 # Entropy functionals treat eigenvalues in [PSD_FLOOR, 0) as exact zeros.
 PSD_FLOOR = -1e-9
 
-# Unit-trace check for density matrices.
+# Unit-trace check for density matrices, and for the squared norm of a ket.
 TRACE_TOL = 1e-10
 
 # Jacobi sweeps stop once the off-diagonal Frobenius norm drops below this.
@@ -20,6 +20,13 @@ JACOBI_OFFDIAG_TOL = 1e-12
 # Guard band for inclusive class-membership comparisons (lambda_max <= 1/d
 # and friends); boundary states classify as members.
 CLASS_MARGIN = 1e-12
+
+# Majorization: the gap allowed between totals, and between prefix sums.
+MAJORIZATION_SUM_TOL = 1e-10
+MAJORIZATION_PREFIX_TOL = 1e-12
+
+# Slack on the admissible range [-1/(d^2 - 1), 1] of the isotropic weight.
+BETA_SLACK = 1e-12
 
 # Default bisection width for boundary finding.
 BISECTION_TOL = 1e-7

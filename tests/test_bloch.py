@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from absq.bloch import (
+    MARGINAL_PAIRS,
+    _norm2,
     decompose_bipartite,
     decompose_tripartite,
     gell_mann_basis,
@@ -13,6 +16,7 @@ from absq.bloch import (
     reconstruct_bipartite,
     reconstruct_tripartite,
 )
+from absq.classify import acre2nn_bloch, marginal_acre2nn
 from absq.entropy import trace_power
 from absq.errors import DimensionMismatch, OutOfRange
 from absq.linalg import partial_trace
@@ -250,3 +254,37 @@ class TestOneContraction:
         monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(args[0]) or einsum(*args, **kw))
         decompose(rho)
         assert len(calls) == 1
+
+
+def random_pure(dims, seed) -> DensityMatrix:
+    rng = np.random.default_rng(seed)
+    n = math.prod(dims)
+    ket = rng.normal(size=n) + 1j * rng.normal(size=n)
+    ket /= np.linalg.norm(ket)
+    return DensityMatrix(np.outer(ket, ket.conj()), dims)
+
+
+class TestLayoutFreeNorms:
+    # every Bloch witness is a function of the field values alone: the same
+    # float on a strided view as on its contiguous copy (pure states, whose
+    # large Bloch vectors let a last-bit change in a norm reach the result)
+
+    def test_tripartite_fields_strided_or_contiguous(self):
+        for seed in range(60):
+            bt = decompose_tripartite(random_pure((3, 3, 3), seed))
+            assert not bt.t1.flags.c_contiguous
+            tensors = [f.name for f in dataclasses.fields(bt) if f.name != "d"]
+            copied = dataclasses.replace(bt, **{f: np.ascontiguousarray(getattr(bt, f)) for f in tensors})
+            for f in tensors:
+                assert bits(_norm2(getattr(bt, f))) == bits(_norm2(getattr(copied, f)))
+            for pair in MARGINAL_PAIRS:
+                assert bits(marginal_purity(bt, pair)) == bits(marginal_purity(copied, pair))
+                assert bits(marginal_acre2nn(bt, pair)) == bits(marginal_acre2nn(copied, pair))
+
+    def test_bipartite_fields_strided_or_contiguous(self):
+        for seed in range(60):
+            bb = decompose_bipartite(random_pure((3, 3), seed))
+            # a and b as every other entry of a longer vector
+            strided = dataclasses.replace(bb, **{f: np.repeat(getattr(bb, f), 2)[::2] for f in ("a", "b")})
+            assert bits(purity_from_bloch(strided)) == bits(purity_from_bloch(bb))
+            assert bits(acre2nn_bloch(strided)) == bits(acre2nn_bloch(bb))

@@ -4,7 +4,7 @@ import pytest
 
 import numpy as np
 
-from absq import channels, classify, cli, entropy, errors, states, swap, sweep
+from absq import channels, classify, cli, entropy, errors, linalg, states, swap, sweep
 from absq.cli import SpecError, build_state, main, parse_spec, table2_rows, table3_rows, table4_rows
 from absq.linalg import eigvals_hermitian
 from absq.tolerances import BISECTION_TOL
@@ -276,6 +276,19 @@ class TestErrorHandling:
         assert code == 1
         assert out == ""
         assert err == message
+
+    def test_solver_failure_one_line_error(self, monkeypatch, tmp_path, capsys):
+        # one sweep cannot diagonalize this dense 4x4 state: the CLI exits 1
+        # with one line, and writes no CSV
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        path = tmp_path / "report.csv"
+        code = main(["classify", "--state", "acin:lambda=0.9,theta=0.7", "--csv", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "error: Jacobi iteration failed to converge\n"
+        assert not path.exists()
+        assert issubclass(errors.NotConverged, RuntimeError)
 
     def test_channel_on_three_qubits_one_line_error(self, capsys):
         code = main(["classify", "--state", "ghzw:p=0.5", "--channel", "bit-flip:p=0.3"])

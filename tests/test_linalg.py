@@ -8,7 +8,16 @@ from absq.entropy import trace_power
 from absq.errors import DimensionMismatch, NotHermitian
 from absq import linalg
 from absq.linalg import eigvals_hermitian, haar_unitary, partial_trace
-from absq.states import DensityMatrix, bell_state, ghz_w_mix, pure_schmidt, random_density
+from absq.channels import double_apply_stack, transfer_stack
+from absq.states import (
+    DensityMatrix,
+    bell_state,
+    depolarized_schmidt_stack,
+    ghz_w_mix,
+    isotropic,
+    pure_schmidt,
+    random_density,
+)
 
 from conftest import random_hermitian
 
@@ -96,6 +105,56 @@ class TestEigHermitian:
             assert caught == []  # inf - inf in the defect is not reported
 
 
+class TestOraclesWithoutLapack:
+    # identities and closed-form spectra that check eigvals_hermitian on
+    # stacks without going through another eigensolver
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 16])
+    def test_trace_and_frobenius_identities_on_stacks(self, n, rng):
+        # sum(lambda) = Tr M and sum(lambda^2) = ||M||_F^2, member by member
+        m = np.stack([random_hermitian(n, rng) for _ in range(6)]).reshape(2, 3, n, n)
+        w = eigvals_hermitian(m)
+        assert w.shape == (2, 3, n)
+        assert np.all(np.diff(w, axis=-1) <= 0)
+        scale = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+        trace = np.trace(m, axis1=-2, axis2=-1).real
+        assert np.max(np.abs(w.sum(axis=-1) - trace)) <= 1e-12 * n * np.sqrt(scale.max())
+        assert np.max(np.abs(np.sum(w**2, axis=-1) - scale)) <= 1e-12 * n * scale.max()
+
+    def test_depolarized_schmidt_stack_closed_form(self):
+        # (1 + 3p)/4 once and (1 - p)/4 three times, whatever theta
+        thetas = np.repeat([0.1, 0.4, math.pi / 4, 1.3], 5)
+        ps = np.tile(np.linspace(0.0, 1.0, 5), 4)
+        w = eigvals_hermitian(depolarized_schmidt_stack(thetas, ps))
+        expected = np.stack([(1 + 3 * ps) / 4] + [(1 - ps) / 4] * 3, axis=1)
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_isotropic_stack_closed_form(self, d):
+        # (1 + beta (d^2 - 1)) / d^2 once and (1 - beta) / d^2 for the rest,
+        # the single one last for beta < 0
+        betas = np.linspace(-1.0 / (d * d - 1), 1.0, 7)
+        w = eigvals_hermitian(np.stack([isotropic(d, beta).matrix for beta in betas]))
+        n = d * d
+        expected = np.stack([(1 + betas * (n - 1)) / n] + [(1 - betas) / n] * (n - 1), axis=1)
+        expected = -np.sort(-expected)
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-14)
+
+    def test_amplitude_damped_stack_closed_form(self):
+        # (|00> + |11>)/sqrt2 after damping p on A and q on B: a 2x2 block on
+        # {|00>, |11>} with diagonal (1 + pq, (1-p)(1-q))/2 and off-diagonal
+        # sqrt((1-p)(1-q))/2, and p(1-q)/2, (1-p)q/2 on |10> and |01>
+        ps = np.linspace(0.0, 1.0, 6)
+        damping = transfer_stack("amplitude_damping", ps)
+        rho = double_apply_stack(damping[:, None], damping[None, :], pure_schmidt(math.pi / 4).matrix)
+        w = eigvals_hermitian(rho)
+        p, q = np.meshgrid(ps, ps, indexing="ij")
+        a, b = 1 + p * q, (1 - p) * (1 - q)
+        mid, half = (a + b) / 2, np.sqrt(((a - b) / 2) ** 2 + b)
+        expected = -np.sort(-np.stack([mid + half, mid - half, p * (1 - q), (1 - p) * q], axis=-1) / 2)
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-14)
+
+
 class TestPartialTrace:
     def test_bell_marginal_maximally_mixed(self):
         red = partial_trace(bell_state(0).matrix, [2, 2], keep=[1])
@@ -142,6 +201,16 @@ class TestPartialTrace:
             partial_trace(np.eye(4), [2, 3], keep=[0])
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(4), [2, 2], keep=[])
+
+    def test_one_dims_check_for_states_and_partial_traces(self):
+        # a state and a partial trace refuse bad shapes and dims alike
+        for m, dims, message in (
+            (np.eye(4) / 4, (2, 3), r"^prod\(dims\)=6 != matrix dim 4$"),
+            (np.ones((2, 3)) / 2, (2,), r"^expected a square matrix, got shape \(2, 3\)$"),
+        ):
+            for build in (lambda: DensityMatrix(m, dims), lambda: partial_trace(m, dims, keep=[0])):
+                with pytest.raises(DimensionMismatch, match=message):
+                    build()
 
 
 class TestTracePower:

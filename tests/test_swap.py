@@ -83,6 +83,19 @@ class TestSwapConditionals:
         with pytest.raises(DimensionMismatch):
             swap_conditionals(random_density((2,), rng), bell_state(0))
 
+    def test_one_two_qubit_check_names_the_state(self, rng):
+        # swapping and double-sided channels refuse other dims alike
+        three = random_density((2, 2, 2), rng)
+        ch = make_channel("bit_flip", 0.1)
+        for name, call in (
+            ("rho_bc", lambda: swap_conditionals(bell_state(0), three)),
+            ("rho_ab", lambda: retrieval_success(three, bell_state(0))),
+            ("rho", lambda: double_apply(ch, ch, three)),
+        ):
+            message = rf"^{name}: expected a \(2, 2\) state, got dims \(2, 2, 2\)$"
+            with pytest.raises(DimensionMismatch, match=message):
+                call()
+
 
 @pytest.mark.parametrize("empty", ["rho_ab", "rho_bc"])
 def test_retrieval_grid_of_an_empty_stack(empty):

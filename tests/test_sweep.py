@@ -132,6 +132,20 @@ class TestIntervals:
         assert calls == [([0] * 51, 51)] + [([0], 1)] * (steps + 1)
         assert found == [Interval(0.0, right, "", 1.0, 1.0 - right * right)]
 
+    def test_grid_value_on_the_target_is_not_reevaluated(self):
+        # 1 - x equals the target exactly at the grid point x = 0.5, where a
+        # bisection would stop at once: that end is the grid point with its
+        # grid value, so the grid call is the only call
+        calls = []
+
+        def f(which, x):
+            calls.append(x.tolist())
+            return 1.0 - x
+
+        (found,) = intervals(f, [("", 0.5, ">=")], 0.0, 1.0, points=11)
+        assert calls == [np.linspace(0.0, 1.0, 11).tolist()]
+        assert found == [Interval(0.0, 0.5, "", 1.0, 0.5)]
+
 
 def _polynomial(roots, scale):
     """x -> scale * prod(x - r) over the roots, with the same roundings on a
