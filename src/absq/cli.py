@@ -426,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a state, optionally after a channel")
     p.add_argument("--state", required=True, help="state spec, e.g. pure-schmidt:theta=0.7854")
     p.add_argument("--channel", help="channel spec, e.g. global-depolarizing:p=0.5")
-    p.add_argument("--alpha", help="comma-separated Renyi orders (default 0.5,2)")
-    p.add_argument("--marginal", choices=bloch.MARGINAL_PAIRS, help="classify a tripartite marginal")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--alpha", help="comma-separated Renyi orders (default 0.5,2)")
+    which.add_argument("--marginal", choices=bloch.MARGINAL_PAIRS, help="classify a tripartite marginal")
     p.add_argument("--csv", help="also write the report as CSV")
     p.set_defaults(func=cmd_classify)
 

@@ -70,11 +70,11 @@ def spectrum_series_flat(eigs: np.ndarray, terms: int) -> float | np.ndarray:
         raise OutOfRange(f"terms must be >= 1, got {terms}")
     eigs = _clamp(eigs)
     pos = eigs > 0
-    r = np.stack([np.sum(eigs ** n, axis=-1, where=pos) for n in range(1, terms + 2)], axis=-1)
+    r = np.stack([np.sum(eigs ** n, axis=-1, where=pos) for n in range(2, terms + 2)], axis=-1)
     ks = np.arange(1.0, terms + 1)
-    g = 1.0 + (-1.0) ** ks * r[..., 1:]  # g[..., k - 1] = g(k); r[..., n - 1] = R_n
+    g = 1.0 + (-1.0) ** ks * r  # g[..., k - 1] = g(k); r[..., n - 2] = R_n
     for m in range(1, terms):
-        g[..., m:] += (-1.0) ** m * ks[m:] * r[..., m : m + 1]  # + (-1)^m k R_{m+1}
+        g[..., m:] += (-1.0) ** m * ks[m:] * r[..., m - 1 : m]  # + (-1)^m k R_{m+1}
     total = 0.0
     for k in range(terms):
         total += g[..., k] / ks[k]

@@ -17,14 +17,12 @@ from .tolerances import BISECTION_TOL
 
 @dataclass(frozen=True)
 class Interval:
-    """A maximal parameter range on which a predicate holds; the witness
-    equals its threshold at the refined endpoints (up to bisection width)."""
+    """A maximal parameter range [lo, hi] on which a criterion holds; an
+    end inside the grid is where its witness crosses the target, refined
+    to BISECTION_TOL, an end on the grid's edge that edge."""
 
     lo: float
     hi: float
-    predicate_name: str
-    witness_lo: float
-    witness_hi: float
 
 
 def find_boundary(f, bracket, target: float, tol: float = BISECTION_TOL) -> float:
@@ -106,13 +104,12 @@ def intervals(f, criteria, lo: float, hi: float, points: int = 2001) -> list[lis
     array xs the index of its criterion, to the array of the witnesses'
     values.  f is called once on the grids of all criteria together, then
     the brackets of all criteria are bisected side by side, one call per
-    step on the midpoints still to refine, and one last call gives the
-    refined endpoints' witnesses.  Every bisection starts from the grid values
-    already at hand, and an endpoint on the grid's edge reports its grid
-    value as its witness.  Returns one list of Interval per criterion,
-    empty where the criterion never holds on the grid.  A NaN witness, on
-    the grid or at a midpoint, raises NoSignChange; fewer than 2 points,
-    OutOfRange.
+    step on the midpoints still to refine, and never again.  Every
+    bisection starts from the grid values already at hand, so an end at a
+    grid point whose witness equals the target costs no call.  Returns one
+    list of Interval per criterion, empty where the criterion never holds
+    on the grid.  A NaN witness, on the grid or at a midpoint, raises
+    NoSignChange; fewer than 2 points, OutOfRange.
     """
     if points < 2:
         raise OutOfRange(f"points must be >= 2, got {points}")
@@ -132,16 +129,15 @@ def intervals(f, criteria, lo: float, hi: float, points: int = 2001) -> list[lis
         return np.asarray(f(np.array(keys, dtype=int), np.array(x, dtype=float)), dtype=float)
 
     # each run of grid points where a criterion holds, as (criterion, left
-    # end, right end); an end on the grid's edge, or at a grid point whose
-    # witness equals the target (where bisection would stop at once), is
-    # its (x, witness), any other end the index of its bisection
+    # end, right end); an end on the grid's edge is its x, any other end
+    # the index of its bisection
     runs = []
     bisections = []
 
     def end(c: int, k: int, inner: int):
         # the end between grid points k (outside the run) and inner
-        if k < 0 or k == points or vals[c, inner] == criteria[c][1]:
-            return xs[inner], vals[c, inner]
+        if k < 0 or k == points:
+            return float(xs[inner])
         a, b = sorted((k, inner), key=lambda n: (xs[n], n))
         f_a, f_b, target = vals[c, a], vals[c, b], criteria[c][1]
         bisections.append((c, _bisection(float(xs[a]), float(xs[b]), f_a, f_b, target, BISECTION_TOL)))
@@ -154,13 +150,9 @@ def intervals(f, criteria, lo: float, hi: float, points: int = 2001) -> list[lis
             runs.append((c, end(c, i - 1, i), end(c, j + 1, j)))
 
     refined = _side_by_side(values, bisections)
-    witnesses = values([c for c, _ in bisections], refined) if bisections else []
     found: list[list[Interval]] = [[] for _ in criteria]
     for c, left, right in runs:
-        (x_lo, w_lo), (x_hi, w_hi) = (
-            e if isinstance(e, tuple) else (refined[e], witnesses[e]) for e in (left, right)
-        )
-        found[c].append(Interval(float(x_lo), float(x_hi), criteria[c][0], float(w_lo), float(w_hi)))
+        found[c].append(Interval(*(refined[e] if isinstance(e, int) else e for e in (left, right))))
     return found
 
 

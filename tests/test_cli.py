@@ -442,12 +442,14 @@ class TestBadArguments:
             ["table2", "--points", "many"],
             ["swap-scan", "--family", "amplitude-damping", "--resolution", "0"],
             ["swap-scan", "--family", "global-depolarizing", "--p2", "nan"],
+            # the Bloch-vector marginal test takes no Renyi order
+            ["classify", "--state", "ghzw:p=0.5", "--marginal", "12", "--alpha", "1"],
         ],
     )
     def test_usage_error(self, argv, tmp_path, capsys):
         path = tmp_path / "out.csv"
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", str(path)])
+            main(argv + ["--csv" if argv[0] == "classify" else "--out", str(path)])
         assert exc.value.code == 2
         assert "error: argument" in capsys.readouterr().err
         assert not path.exists()
@@ -531,10 +533,9 @@ class TestTableRowHelpers:
         monkeypatch.setattr(sweep, "intervals", traced)
         monkeypatch.setattr(cli, "eigvals_hermitian", counted)
         table2_rows(points=7)
-        # the grid, then each bisection step of brackets 1/6 wide, then the
-        # refined endpoints' witnesses
+        # the grid, then each bisection step of brackets 1/6 wide
         steps = math.ceil(math.log2((1 / 6) / BISECTION_TOL))
-        assert len(calls) == len(solved) == 1 + steps + 1 == 23
+        assert len(calls) == len(solved) == 1 + steps == 22
         seen = set()
         for keys, count in zip(calls, solved):
             new = set(keys) - seen
@@ -567,9 +568,9 @@ class TestTableRowHelpers:
         table2_rows(points=7)
         monkeypatch.undo()
         # the identity map of the one-sided scan, then one call per witness
-        # call: the grid, 21 bisection steps and the refined endpoints
+        # call: the grid and 21 bisection steps
         assert calls[0][0] == [("depolarizing", [0.0])]
-        assert len(calls) == 1 + 23
+        assert len(calls) == 1 + 22
         assert {name for group, _, _ in calls[1:] for name, _ in group} == set(cli.TABLE2_CHANNELS)
         for group, shape, s in calls[1:]:
             assert shape == (sum(len(ps) for _, ps in group), 4, 2, 2)

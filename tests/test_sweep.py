@@ -83,9 +83,11 @@ class TestIntervals:
         assert one_criterion(np.zeros_like, 0, 1, 1.0, ">=", points=51) == []
 
     def test_endpoint_witnesses(self):
+        # the witness x crosses the target at the refined lower end; the
+        # upper end is the grid's edge
         found = one_criterion(lambda x: x, 0, 1, 0.25, ">=", points=101)
         assert len(found) == 1
-        assert found[0].witness_lo == pytest.approx(0.25, abs=1e-6)
+        assert found[0].lo == pytest.approx(0.25, abs=1e-6)
         assert found[0].hi == 1.0
 
     def test_stable_under_grid_refinement(self):
@@ -109,9 +111,9 @@ class TestIntervals:
 
     def test_grid_values_are_not_reevaluated(self):
         # one interior crossing: one call on the 51-point grid, then one
-        # call on the midpoint of the one bracket per bisection step and
-        # one for the refined endpoint's witness; the bracket ends and the
-        # grid-edge endpoint reuse their grid values
+        # call on the midpoint of the one bracket per bisection step; the
+        # bracket ends reuse their grid values and the grid-edge end is
+        # its grid x
         calls = []
 
         def f(which, x):
@@ -129,13 +131,13 @@ class TestIntervals:
         right = find_boundary(g, (xs[35], xs[36]), 0.5)
         steps = len(evaluated) - 2  # find_boundary evaluates the bracket ends too
         assert steps > 0
-        assert calls == [([0] * 51, 51)] + [([0], 1)] * (steps + 1)
-        assert found == [Interval(0.0, right, "", 1.0, 1.0 - right * right)]
+        assert calls == [([0] * 51, 51)] + [([0], 1)] * steps
+        assert found == [Interval(0.0, right)]
 
     def test_grid_value_on_the_target_is_not_reevaluated(self):
-        # 1 - x equals the target exactly at the grid point x = 0.5, where a
-        # bisection would stop at once: that end is the grid point with its
-        # grid value, so the grid call is the only call
+        # 1 - x equals the target exactly at the grid point x = 0.5, where
+        # the bisection stops before its first step: that end is the grid
+        # point, so the grid call is the only call
         calls = []
 
         def f(which, x):
@@ -144,7 +146,20 @@ class TestIntervals:
 
         (found,) = intervals(f, [("", 0.5, ">=")], 0.0, 1.0, points=11)
         assert calls == [np.linspace(0.0, 1.0, 11).tolist()]
-        assert found == [Interval(0.0, 0.5, "", 1.0, 0.5)]
+        assert found == [Interval(0.0, 0.5)]
+
+    def test_midpoint_on_the_target_is_not_reevaluated(self):
+        # 1 - x equals the target exactly at the first midpoint, 0.5, where
+        # the bisection stops: its one step is the last call
+        calls = []
+
+        def f(which, x):
+            calls.append(x.tolist())
+            return 1.0 - x
+
+        (found,) = intervals(f, [("", 0.5, ">=")], 0.0, 1.0, points=2)
+        assert calls == [[0.0, 1.0], [0.5]]
+        assert found == [Interval(0.0, 0.5)]
 
 
 def _polynomial(roots, scale):
@@ -160,10 +175,10 @@ def _polynomial(roots, scale):
     return g
 
 
-def _alone(g, xs, target, sense, name):
+def _alone(g, xs, target, sense):
     """intervals of one criterion as one bisection at a time would find
     them: each run of grid points that hold, its inner ends refined by
-    find_boundary on their bracket and their witness evaluated once more."""
+    find_boundary on their bracket."""
     values = g(xs)
     ok = values >= target if sense == ">=" else values <= target
     found, i = [], 0
@@ -177,21 +192,16 @@ def _alone(g, xs, target, sense, name):
         ends = []
         for outside, inner in ((i - 1, i), (j + 1, j)):
             if outside < 0 or outside == len(xs):
-                ends.append((xs[inner], values[inner]))
+                ends.append(float(xs[inner]))
             else:
-                x = find_boundary(g, (float(xs[outside]), float(xs[inner])), target)
-                ends.append((x, g(x)))
-        (lo, w_lo), (hi, w_hi) = ends
-        found.append(Interval(float(lo), float(hi), name, float(w_lo), float(w_hi)))
+                ends.append(find_boundary(g, (float(xs[outside]), float(xs[inner])), target))
+        found.append(Interval(*ends))
         i = j + 1
     return found
 
 
 def _bits(found):
-    return [
-        (iv.predicate_name, *(np.float64(v).tobytes() for v in (iv.lo, iv.hi, iv.witness_lo, iv.witness_hi)))
-        for iv in found
-    ]
+    return [(np.float64(iv.lo).tobytes(), np.float64(iv.hi).tobytes()) for iv in found]
 
 
 # a root anywhere, on grid point k, or on the first midpoint of the
@@ -244,8 +254,8 @@ def test_side_by_side_refinement_equals_each_bracket_alone(points, criteria, bad
 
     found = intervals(f, specs, 0.0, 1.0, points=points)
     assert found[-1] == []
-    for (name, target, sense), g, got in zip(specs, witnesses, found):
-        assert _bits(got) == _bits(_alone(g, xs, target, sense, name))
+    for (_, target, sense), g, got in zip(specs, witnesses, found):
+        assert _bits(got) == _bits(_alone(g, xs, target, sense))
 
     # a bracket whose ends have the same sign, here on the criterion that
     # never holds, fails as it does alone, and before any step is taken
@@ -316,7 +326,7 @@ def test_side_by_side_examples_reach_every_exit():
     assert 0 < abs(found[1].lo - 0.77) <= 1e-7
     mid = 0.5 * (float(xs[6]) + float(xs[7]))
     g = _polynomial([mid], -2.0)
-    assert one_criterion(g, 0.0, 1.0, 0.0, "<=", points=11) == [Interval(mid, 1.0, "", 0.0, g(1.0))]
+    assert one_criterion(g, 0.0, 1.0, 0.0, "<=", points=11) == [Interval(mid, 1.0)]
 
 
 class TestScans:
