@@ -240,8 +240,8 @@ def table2_rows(points: int = 2001):
     criteria = [
         (f"{channel}/{crit}", target, sense) for channel, _ in scans for crit, target, sense in tests
     ]
-    # every call of the witness, on the grids of all scans or on one
-    # bisection step of all brackets, is one stack of states built,
+    # every call of the witness, on the grids of all scans or on one step
+    # of all open brackets, is one stack of states built,
     # validated and solved at once; each distinct (scan, p) of a call is
     # solved once, so the AC and AF scans share their states (no state
     # recurs from one call to a later one)
@@ -294,11 +294,13 @@ def table2_rows(points: int = 2001):
 
 def _isotropic_boundaries(beta: float, dims, functional, what: str) -> list[float]:
     """The lambda in [0, 1] where functional(spectrum) = log2(d) after global
-    depolarizing of the isotropic state, for each d of dims, bisected side by
-    side.  Each d is diagonalized once, and each witness call (the 2k ends,
-    then one per step) runs functional once on the spectra as the rows of a
-    zero-padded stack.  A d without a crossing raises, naming d and what."""
-    eigs = [eigvals_hermitian(states.isotropic(d, beta).matrix) for d in dims]
+    depolarizing of the isotropic state, for each d of dims, found side by
+    side by sweep._bisection to within BISECTION_TOL.  Each d's spectrum is
+    the closed form states.isotropic_spectrum, so nothing is diagonalized,
+    and each witness call (the 2k ends, then one per step) runs functional
+    once on the depolarized spectra as the rows of a zero-padded stack.  A d
+    without a crossing raises, naming d and what."""
+    eigs = [states.isotropic_spectrum(d, beta) for d in dims]
 
     def witness(keys, lams):
         stack = np.zeros((len(keys), max(e.size for e in eigs)))

@@ -197,19 +197,38 @@ def max_entangled(d: int) -> np.ndarray:
     return vec / math.sqrt(d)
 
 
-def isotropic(d: int, beta: float) -> DensityMatrix:
-    """Isotropic two-qudit state beta |psi+><psi+| + (1 - beta) I / d^2.
-
-    Eigenvalues: (1 + beta (d^2 - 1)) / d^2 once and (1 - beta) / d^2 with
-    multiplicity d^2 - 1.
-    """
+def _check_isotropic(d: int, beta: float) -> None:
+    """d >= 2 and beta in the admissible range [-1/(d^2 - 1), 1]."""
     if not (d >= 2):
         raise OutOfRange(f"d={d} must be >= 2")
     lo = -1.0 / (d * d - 1)
     if not (lo - BETA_SLACK <= beta <= 1 + BETA_SLACK):
         raise OutOfRange(f"beta={beta} outside [{lo}, 1]")
-    m = beta * _projector(max_entangled(d)) + (1.0 - beta) * np.eye(d * d) / (d * d)
+
+
+def isotropic(d: int, beta: float) -> DensityMatrix:
+    """Isotropic two-qudit state beta |psi+><psi+| + (1 - beta) I / d^2.
+
+    Its spectrum is isotropic_spectrum(d, beta).  A d whose d^2 x d^2
+    matrix numpy cannot address raises MemoryError before any allocation.
+    """
+    _check_isotropic(d, beta)
+    n = d * d
+    if 16 * n * n > np.iinfo(np.intp).max:  # bytes of a complex n x n matrix
+        raise MemoryError(f"d={d}: the {n} x {n} matrix of the state is too big to allocate")
+    m = beta * _projector(max_entangled(d)) + (1.0 - beta) * np.eye(n) / n
     return DensityMatrix(m, (d, d))
+
+
+def isotropic_spectrum(d: int, beta: float) -> np.ndarray:
+    """The non-increasing spectrum of isotropic(d, beta) in closed form:
+    (1 + beta (d^2 - 1)) / d^2 once and (1 - beta) / d^2 with multiplicity
+    d^2 - 1, the single eigenvalue last for beta < 0.  No matrix is built."""
+    _check_isotropic(d, beta)
+    n = d * d
+    eigs = np.full(n, (1.0 - beta) / n)
+    eigs[0 if beta >= 0 else -1] = (1.0 + beta * (n - 1)) / n
+    return eigs
 
 
 def acin_tripartite(x, theta: float) -> DensityMatrix:

@@ -18,21 +18,24 @@ from .tolerances import BISECTION_TOL
 @dataclass(frozen=True)
 class Interval:
     """A maximal parameter range [lo, hi] on which a criterion holds; an
-    end inside the grid is where its witness crosses the target, refined
-    to BISECTION_TOL, an end on the grid's edge that edge."""
+    end inside the grid is where its witness crosses the target, found by
+    _bisection to within BISECTION_TOL, an end on the grid's edge that edge."""
 
     lo: float
     hi: float
 
 
 def find_boundary(f, bracket, target: float, tol: float = BISECTION_TOL) -> float:
-    """Bisect f(x) = target inside the bracket.
+    """The x where f(x) = target inside the bracket, to within tol (see
+    _bisection).
 
     The bracket endpoints must produce values on opposite sides of the
     target (an endpoint sitting exactly on it is returned directly);
     orientation of the bracket does not matter.  A NaN value of f raises
-    NoSignChange.
+    NoSignChange, and a tol that is not > 0 OutOfRange before f is called.
     """
+    if not tol > 0:
+        raise OutOfRange(f"tol must be > 0, got {tol}")
     a, b = sorted((float(bracket[0]), float(bracket[1])))
     bisection = _bisection(a, b, f(a), f(b), target, tol)
     (x,) = _side_by_side(lambda _, xs: [f(x) for x in xs], [(None, bisection)])
@@ -40,13 +43,28 @@ def find_boundary(f, bracket, target: float, tol: float = BISECTION_TOL) -> floa
 
 
 def _bisection(a: float, b: float, f_a: float, f_b: float, target: float, tol: float):
-    """The bisection of f(x) = target on an ordered bracket whose end values
-    are known, as a generator: it yields each midpoint, is sent the value of
-    f there, and returns the boundary.  A NaN value of f, at an end or at a
-    midpoint, raises NoSignChange naming its x.  _side_by_side drives every
-    bisection: those of find_boundary, intervals and the isotropic tables."""
-    fa = f_a - target
-    fb = f_b - target
+    """The root of f(x) = target on an ordered bracket whose end values are
+    known, as a generator: it yields each point to evaluate, is sent the
+    value of f there, and returns the boundary as a float.
+
+    The steps are ITP (interpolate, truncate, project; Oliveira and
+    Takahashi, ACM TOMS 47(1), 2020) with kappa1 = 0.2 / (b - a), kappa2 = 2,
+    n0 = 1 and epsilon = tol / 2: each point moves from the regula-falsi
+    point toward the midpoint, and stays close enough to the midpoint that
+    the bracket is no wider than tol after ceil(log2((b - a) / tol)) + 1
+    steps, one more than bisection, however f behaves.  On a smooth f it
+    converges superlinearly.  The steps stop once the bracket is at most
+    tol wide, after that many steps at most (roundoff may leave the last
+    bracket a few ulps wider), or when no float lies strictly inside the
+    bracket (a tol below the float spacing); the boundary is then the
+    bracket's midpoint.  A point whose value equals the target is the
+    boundary itself.
+
+    A NaN value of f, at an end or at a point, raises NoSignChange naming
+    its x.  _side_by_side drives every bisection: those of find_boundary,
+    intervals and the isotropic tables."""
+    fa = float(f_a) - target
+    fb = float(f_b) - target
     for x, value in ((a, fa), (b, fb)):
         if value != value:
             raise NoSignChange(f"f - target is NaN at {x}")
@@ -56,23 +74,42 @@ def _bisection(a: float, b: float, f_a: float, f_b: float, target: float, tol: f
         return b
     if (fa > 0) == (fb > 0):
         raise NoSignChange(f"f - target has the same sign at {a} and {b}")
-    while b - a > tol:
+    kappa = 0.2 / (b - a)
+    # reach = epsilon 2^(n_1/2 + n0 - j) at step j: the point lies within
+    # reach - (b - a) / 2 of the midpoint, so the bracket after the step is
+    # at most reach wide; the last step is the one with reach = tol
+    reach = tol
+    while reach < b - a:
+        reach *= 2.0
+    while b - a > tol and reach >= tol:
         mid = 0.5 * (a + b)
-        fm = (yield mid) - target
-        if fm != fm:
-            raise NoSignChange(f"f - target is NaN at {mid}")
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
+        falsi = (fb * a - fa * b) / (fb - fa)
+        toward = 1.0 if mid > falsi else -1.0
+        delta = kappa * (b - a) ** 2
+        x = falsi + toward * delta if delta <= abs(mid - falsi) else mid
+        radius = reach - 0.5 * (b - a)
+        if not abs(x - mid) <= radius:
+            x = mid - toward * radius
+        if not a < x < b:  # rounded onto an end
+            if not a < mid < b:  # no float lies strictly inside
+                break
+            x = mid
+        fx = float((yield x)) - target
+        if fx != fx:
+            raise NoSignChange(f"f - target is NaN at {x}")
+        if fx == 0.0:
+            return x
+        if (fx > 0) == (fa > 0):
+            a, fa = x, fx
         else:
-            b = mid
+            b, fb = x, fx
+        reach *= 0.5
     return 0.5 * (a + b)
 
 
 def _side_by_side(f, bisections) -> list[float]:
     """The boundaries of (key, _bisection) pairs, run in lockstep: each step
-    is one call f(keys, xs) on the midpoints the open bisections ask for
+    is one call f(keys, xs) on the points the open bisections ask for
     (each x of the witness its key names), one stack for f.  The first
     bracket without a sign change raises NoSignChange before any step."""
     found = [0.0] * len(bisections)
@@ -96,7 +133,8 @@ def _side_by_side(f, bisections) -> list[float]:
 
 def intervals(f, criteria, lo: float, hi: float, points: int = 2001) -> list[list[Interval]]:
     """Maximal sub-intervals of [lo, hi] on which each criterion holds,
-    endpoints refined by bisection to BISECTION_TOL.
+    each end inside the grid found by _bisection (ITP steps) to within
+    BISECTION_TOL.
 
     criteria is a sequence of (name, target, sense): the criterion holds
     where its witness is >= target (sense ">=") or <= target (sense
@@ -104,11 +142,11 @@ def intervals(f, criteria, lo: float, hi: float, points: int = 2001) -> list[lis
     array xs the index of its criterion, to the array of the witnesses'
     values.  f is called once on the grids of all criteria together, then
     the brackets of all criteria are bisected side by side, one call per
-    step on the midpoints still to refine, and never again.  Every
+    step on the points of the brackets still open, and never again.  Every
     bisection starts from the grid values already at hand, so an end at a
     grid point whose witness equals the target costs no call.  Returns one
     list of Interval per criterion, empty where the criterion never holds
-    on the grid.  A NaN witness, on the grid or at a midpoint, raises
+    on the grid.  A NaN witness, on the grid or at a step's point, raises
     NoSignChange; fewer than 2 points, OutOfRange.
     """
     if points < 2:

@@ -28,8 +28,9 @@ MAJORIZATION_PREFIX_TOL = 1e-12
 # Slack on the admissible range [-1/(d^2 - 1), 1] of the isotropic weight.
 BETA_SLACK = 1e-12
 
-# Default bisection width for boundary finding.
-BISECTION_TOL = 1e-7
+# Bracket width at which boundary finding stops (sweep._bisection), far
+# below the 9 significant digits the tables print.
+BISECTION_TOL = 1e-12
 
 # Measurement outcomes below this probability carry no conditional state.
 PROB_FLOOR = 1e-12

@@ -6,7 +6,6 @@ import numpy as np
 
 from absq import channels, classify, cli, entropy, errors, linalg, states, swap, sweep
 from absq.cli import SpecError, build_state, main, parse_spec, table2_rows, table3_rows, table4_rows
-from absq.linalg import eigvals_hermitian
 from absq.tolerances import BISECTION_TOL
 
 from conftest import bits
@@ -185,6 +184,9 @@ EXIT_STATUS = [
     (["classify", "--state", "bell:index=0", "--alpha", "1"], 1, "error: alpha=1.0 outside"),
     (["swap-scan", "--family", "global-depolarizing", "--p2", "2", "--out", "OUT"], 1, "error: p=2.0 outside"),
     (["classify", "--state", "iso:d=3,beta=9"], 1, "error: beta=9.0 outside"),
+    # a state too big to address: refused before any allocation
+    (["classify", "--state", "iso:d=1e9,beta=0.5"], 1, "error: d=1000000000: the 1000000000000000000 x"),
+    (["classify", "--state", "iso:d=100000,beta=0.5"], 1, "error: d=100000: the 10000000000 x"),
     (["table3", "--out", "MISSING"], 1, "io error: "),
 ]
 
@@ -194,7 +196,8 @@ EXIT_STATUS = [
     EXIT_STATUS,
     ids=[
         "state", "channel", "fraction", "repeated-key", "empty-alpha", "repeated-alpha",
-        "marginal", "channel-on-ghzw", "phase-damping", "alpha-1", "p2", "beta", "unwritable",
+        "marginal", "channel-on-ghzw", "phase-damping", "alpha-1", "p2", "beta", "iso-d-1e9",
+        "iso-d-100000", "unwritable",
     ],
 )
 def test_exit_status_from_error_class(argv, code, message, tmp_path, capsys):
@@ -533,9 +536,10 @@ class TestTableRowHelpers:
         monkeypatch.setattr(sweep, "intervals", traced)
         monkeypatch.setattr(cli, "eigvals_hermitian", counted)
         table2_rows(points=7)
-        # the grid, then each bisection step of brackets 1/6 wide
-        steps = math.ceil(math.log2((1 / 6) / BISECTION_TOL))
-        assert len(calls) == len(solved) == 1 + steps == 22
+        # the grid, then each step of the brackets, 1/6 wide: 10 steps, at
+        # most the ITP bound of one more than bisection would take
+        assert len(calls) == len(solved) == 1 + 10
+        assert 10 <= math.ceil(math.log2((1 / 6) / BISECTION_TOL)) + 1
         seen = set()
         for keys, count in zip(calls, solved):
             new = set(keys) - seen
@@ -568,9 +572,9 @@ class TestTableRowHelpers:
         table2_rows(points=7)
         monkeypatch.undo()
         # the identity map of the one-sided scan, then one call per witness
-        # call: the grid and 21 bisection steps
+        # call: the grid and 10 steps
         assert calls[0][0] == [("depolarizing", [0.0])]
-        assert len(calls) == 1 + 22
+        assert len(calls) == 1 + 11
         assert {name for group, _, _ in calls[1:] for name, _ in group} == set(cli.TABLE2_CHANNELS)
         for group, shape, s in calls[1:]:
             assert shape == (sum(len(ps) for _, ps in group), 4, 2, 2)
@@ -578,11 +582,11 @@ class TestTableRowHelpers:
 
     @staticmethod
     def _per_d_boundaries(beta, dims, functional):
-        """Each d bisected alone by find_boundary, as the tables did before
-        their dims were bisected side by side."""
+        """Each d found alone by find_boundary, as the tables did before
+        their dims were found side by side."""
         found = []
         for d in dims:
-            eigs = eigvals_hermitian(states.isotropic(d, beta).matrix)
+            eigs = states.isotropic_spectrum(d, beta)
 
             def witness(lam, eigs=eigs):
                 return functional(channels.global_depolarize_spectrum(eigs, lam))
@@ -605,16 +609,18 @@ class TestTableRowHelpers:
         assert bits([r["lambda_lo"] for r in result]) == bits(reference)
 
     @pytest.mark.parametrize(
-        "rows,name,dims",
+        "rows,name,dims,steps",
         [
-            (table3_rows, "spectrum_entropy", cli.TABLE3_REFERENCE),
-            (table4_rows, "spectrum_series_flat", cli.TABLE4_REFERENCE),
+            (table3_rows, "spectrum_entropy", cli.TABLE3_REFERENCE, 9),
+            (table4_rows, "spectrum_series_flat", cli.TABLE4_REFERENCE, 12),
         ],
         ids=["table3", "table4"],
     )
-    def test_isotropic_tables_one_witness_call_per_step(self, rows, name, dims, monkeypatch):
-        # one call on the 2k ends, then one per bisection step on the k
-        # midpoints, each a stack zero-padded to the largest d^2
+    def test_isotropic_tables_one_witness_call_per_step(self, rows, name, dims, steps, monkeypatch):
+        # one call on the 2k ends, then one per step on the points of the
+        # brackets still open, each a stack zero-padded to the largest d^2;
+        # a bracket of [0, 1] takes at most the ITP bound of steps, one more
+        # than bisection would take
         shapes = []
         functional = getattr(entropy, name)
 
@@ -625,11 +631,15 @@ class TestTableRowHelpers:
         monkeypatch.setattr(entropy, name, counted)
         rows()
         k, width = len(dims), max(d * d for d in dims)
-        steps = math.ceil(math.log2(1.0 / BISECTION_TOL))
-        assert shapes == [(2 * k, width)] + [(k, width)] * steps
+        assert shapes[0] == (2 * k, width)
+        open_brackets = [n for n, w in shapes[1:] if w == width]
+        assert len(open_brackets) == len(shapes) - 1 == steps
+        assert steps <= math.ceil(math.log2(1.0 / BISECTION_TOL)) + 1
+        assert open_brackets[0] == k
+        assert open_brackets == sorted(open_brackets, reverse=True)
 
     @pytest.mark.parametrize("rows", [table3_rows, table4_rows])
-    def test_isotropic_tables_diagonalize_once_per_d(self, rows, monkeypatch):
+    def test_isotropic_tables_solve_no_matrix(self, rows, monkeypatch):
         shapes = []
 
         def counting(module):
@@ -643,5 +653,5 @@ class TestTableRowHelpers:
 
         for module in (cli, entropy):
             counting(module)
-        result = rows()
-        assert shapes == [(r["d"] ** 2, r["d"] ** 2) for r in result]
+        rows()
+        assert shapes == []

@@ -16,6 +16,7 @@ from absq.states import (
     depolarized_schmidt_stack,
     ghz_w_mix,
     isotropic,
+    isotropic_spectrum,
     pure_schmidt,
     random_density,
 )
@@ -121,6 +122,24 @@ class TestClosedFormSpectra:
         expected = sorted([beta + rest] + [rest] * (d * d - 1), reverse=True)
         np.testing.assert_allclose(eigs, expected, rtol=0, atol=1e-14)
 
+    @settings(max_examples=30)
+    @given(d=st.integers(2, 6), t=st.floats(0.0, 1.0))
+    def test_isotropic_spectrum(self, d, t):
+        # the closed form itself: non-increasing for every admissible beta,
+        # negative ones included, and the solver's spectrum within 1e-15
+        lo = -1.0 / (d * d - 1)
+        beta = lo + t * (1.0 - lo)
+        eigs = isotropic_spectrum(d, beta)
+        assert eigs.shape == (d * d,)
+        assert (np.diff(eigs) <= 0).all()
+        np.testing.assert_allclose(eigs, eigvals_hermitian(isotropic(d, beta).matrix), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("beta", [0.8, 1.0])
+    def test_isotropic_spectrum_at_the_tables_weights(self, d, beta):
+        eigs = eigvals_hermitian(isotropic(d, beta).matrix)
+        assert np.abs(isotropic_spectrum(d, beta) - eigs).max() <= 5.6e-16
+
     @settings(max_examples=20)
     @given(members=st.lists(st.tuples(THETAS, st.floats(0.0, 1.0)), min_size=1, max_size=6))
     def test_depolarized_schmidt_stack_equals_members(self, members):
@@ -140,6 +159,17 @@ def test_isotropic_lambda_max_example():
 def test_isotropic_range_check():
     with pytest.raises(OutOfRange):
         isotropic(3, -0.2)
+
+
+@pytest.mark.parametrize(
+    "d,beta,message",
+    [(3, -0.2, "beta=-0.2 outside"), (3, 1.5, "beta=1.5 outside"), (3, math.nan, "beta=nan outside"),
+     (1, 0.5, "d=1 must be >= 2")],
+)
+def test_isotropic_spectrum_shares_the_range_check(d, beta, message):
+    for factory in (isotropic, isotropic_spectrum):
+        with pytest.raises(OutOfRange, match=message):
+            factory(d, beta)
 
 
 def test_acin_tripartite_basis_cases():

@@ -8,6 +8,7 @@ from absq.entropy import series_estimate, series_estimate_flat, von_neumann
 from absq.errors import NoSignChange, OutOfRange
 from absq.linalg import eigvals_hermitian
 from absq.states import acin_two_param, depolarized_schmidt, isotropic
+from absq.tolerances import BISECTION_TOL
 from absq.channels import double_apply, global_depolarize, make_channel
 from absq.sweep import (
     Interval,
@@ -64,6 +65,58 @@ class TestFindBoundary:
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
             find_boundary(lambda x: x, (0, 1), 5.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-7, math.nan])
+    def test_rejects_a_tolerance_not_above_zero(self, tol):
+        # tol = 0 would never end, and tol = nan would end before any step
+        calls = []
+        with pytest.raises(OutOfRange, match=f"tol must be > 0, got {tol}$"):
+            find_boundary(lambda x: calls.append(x) or x * x, (0, 1), 0.5, tol=tol)
+        assert calls == []
+
+    def test_tolerance_below_the_float_spacing_ends(self):
+        # no bracket of floats around sqrt(1/2) gets 5e-324 wide; the steps
+        # end once no float lies strictly inside the bracket
+        x = find_boundary(lambda x: x * x, (0, 1), 0.5, tol=5e-324)
+        assert abs(x - math.sqrt(0.5)) <= 2 * math.ulp(math.sqrt(0.5))
+
+
+# monotone smooth shapes s(d, k) whose computed sign is that of d, so that
+# s(x - r, k) has its root at r exactly
+SHAPES = {
+    "tanh": lambda d, k: math.tanh(k * d),
+    "expm1": lambda d, k: math.expm1(k * d),
+    "sinh": lambda d, k: math.sinh(k * d),
+    "cubic": lambda d, k: d * (1.0 + k * d * d),
+}
+
+
+@settings(max_examples=300)
+@given(
+    shape=st.sampled_from(sorted(SHAPES)),
+    k=st.floats(0.1, 50.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    a=st.floats(-2.0, 1.0),
+    width=st.floats(1e-3, 3.0),
+    at=st.floats(0.01, 0.99),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-4]),
+)
+def test_itp_within_tol_of_the_root_in_at_most_one_step_more_than_bisection(
+    shape, k, sign, a, width, at, tol
+):
+    b = a + width
+    root = a + at * (b - a)
+    steps = []
+
+    def f(x):
+        steps.append(x)
+        return sign * SHAPES[shape](x - root, k)
+
+    x = find_boundary(f, (a, b), 0.0, tol)
+    assert type(x) is float
+    assert abs(x - root) <= tol
+    # find_boundary evaluates the bracket ends, then one point per step
+    assert len(steps) - 2 <= math.ceil(math.log2((b - a) / tol)) + 1
 
 
 class TestIntervals:
@@ -225,7 +278,7 @@ CRITERIA = st.lists(
 @settings(max_examples=40)
 @given(points=st.integers(3, 30), criteria=CRITERIA, bad=st.integers(0, 10**6))
 @example(  # two crossings on one criterion, one of them on grid point 3
-    points=11, criteria=[([("grid", 3), ("free", 0.77)], 1.0, 1.0, ">=")], bad=0
+    points=11, criteria=[([("grid", 3), ("free", 0.74)], 1.0, 1.0, ">=")], bad=0
 )
 @example(  # a crossing on a bracket's first midpoint
     points=11, criteria=[([("midpoint", 6)], 2.0, -1.0, "<=")], bad=1
@@ -317,13 +370,15 @@ class TestNanWitness:
 def test_side_by_side_examples_reach_every_exit():
     # the explicit examples above end a bisection in each way: on a
     # bracket end that sits on the target (grid point 3), at the width
-    # tolerance (the crossing at 0.77), and on a midpoint that hits it
+    # tolerance (the crossing at 0.74, which no step hits exactly, as it
+    # hits 0.77), and on a point that hits it
     xs = np.linspace(0.0, 1.0, 11)
-    g = _polynomial([float(xs[3]), 0.77], 1.0)
+    g = _polynomial([float(xs[3]), 0.74], 1.0)
     found = one_criterion(g, 0.0, 1.0, 0.0, ">=", points=11)
     assert [(iv.lo, iv.hi) for iv in found[:1]] == [(0.0, float(xs[3]))]
     assert len(found) == 2 and found[1].hi == 1.0
-    assert 0 < abs(found[1].lo - 0.77) <= 1e-7
+    assert 0 < abs(found[1].lo - 0.74) <= BISECTION_TOL / 2
+    assert {type(end) for iv in found for end in (iv.lo, iv.hi)} == {float}
     mid = 0.5 * (float(xs[6]) + float(xs[7]))
     g = _polynomial([mid], -2.0)
     assert one_criterion(g, 0.0, 1.0, 0.0, "<=", points=11) == [Interval(mid, 1.0)]
