@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .bloch import BlochBipartite, BlochTripartite, _norm2, pair_tensors
-from .entropy import _per_spectrum, check_alpha, spectrum_entropy, spectrum_power
+from .entropy import _per_spectrum, check_alpha, spectrum_entropy, spectrum_power, spectrum_renyi
 from .errors import DimensionMismatch, SumMismatch
 from .linalg import eigvals_hermitian
 from .states import DensityMatrix, _local_dim
@@ -44,7 +44,9 @@ def _acvenn(eigs: np.ndarray, d: int) -> tuple[bool, float]:
 
 
 def _acrenn(eigs: np.ndarray, d: int, alpha: float) -> tuple[bool, float]:
-    return _verdict(spectrum_power(eigs, alpha), ">=" if alpha < 1 else "<=", d ** (1.0 - alpha))
+    # decided on S_alpha >= log2 d, which stays finite where Tr rho^alpha and
+    # d^(1 - alpha) both fall below the guard band; Tr rho^alpha is the witness
+    return _verdict(spectrum_renyi(eigs, alpha), ">=", math.log2(d))[0], spectrum_power(eigs, alpha)
 
 
 def _acre2nn(eigs: np.ndarray, d: int) -> tuple[bool, float]:
@@ -66,8 +68,9 @@ def is_acvenn(rho: DensityMatrix) -> tuple[bool, float]:
 def is_acrenn(rho: DensityMatrix, alpha: float) -> tuple[bool, float]:
     """Absolute nonnegative conditional Renyi entropy, order alpha.
 
-    Witness is Tr(rho^alpha); membership means witness >= d^(1-alpha) for
-    alpha < 1 and witness <= d^(1-alpha) for alpha > 1.
+    Membership means S_alpha >= log2 d (entropy.spectrum_renyi), that is
+    Tr(rho^alpha) >= d^(1-alpha) for alpha < 1 and <= d^(1-alpha) for
+    alpha > 1; the witness is Tr(rho^alpha).
     """
     check_alpha(alpha)
     d = _local_dim(rho)

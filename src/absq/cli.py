@@ -191,8 +191,10 @@ def cmd_classify(args) -> int:
             ("acre2nn", report.acre2nn, report.purity, "purity"),
         ]
         for criterion, ok, witness, key in entries:
+            name, bracket, order = criterion.partition("[")
+            label = name.upper() + bracket + order  # the order keeps its case: acrenn[1e+10]
             lines.append(
-                f"{criterion.upper():<8} {ok}  {key.partition('[')[0]} = {format_number(witness)}"
+                f"{label:<8} {ok}  {key.partition('[')[0]} = {format_number(witness)}"
                 f" (threshold {format_number(report.thresholds[key])})"
             )
         rows = [(criterion, ok, witness) for criterion, ok, witness, _ in entries]
@@ -227,6 +229,11 @@ def table2_rows(points: int = 2001):
     two-qubit mixed family under each double-sided channel, with reference
     values and deltas.  The depolarizing row is also reported under the
     single-sided reading since its reference cell does not state one.
+
+    The witness reaches into channels for _kraus_stack and _transfer: it
+    pads the Kraus sets of several channels to four operators and makes
+    one _transfer call on all of them per witness call, a stack that no
+    public channels entry builds.
     """
     base = states.acin_two_param(0.9, math.pi / 4).matrix
     ident = channels.make_channel("depolarizing", 0.0).transfer  # the identity map

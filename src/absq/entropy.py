@@ -62,6 +62,19 @@ def spectrum_power(eigs: np.ndarray, alpha: float) -> float | np.ndarray:
     return _per_spectrum(np.sum(_clamp(eigs) ** alpha, axis=-1))
 
 
+def spectrum_renyi(eigs: np.ndarray, alpha: float) -> float | np.ndarray:
+    """Renyi entropy in bits, log2(sum lambda^alpha) / (1 - alpha), over a
+    spectrum, for real alpha > 0 other than 1.  The log of the power sum is
+    taken as alpha log2(lambda_max) + log2(sum (lambda / lambda_max)^alpha):
+    each ratio is at most 1 and the largest is 1, so the sum lies in [1, n]
+    and the log is finite at every finite alpha, where sum lambda^alpha
+    itself underflows to 0 (alpha = 1e10 for lambda_max = 0.775)."""
+    eigs = _clamp(eigs)
+    top = eigs[..., :1]  # lambda_max, the first of a non-increasing spectrum
+    log_power = alpha * np.log2(top[..., 0]) + np.log2(np.sum((eigs / top) ** alpha, axis=-1))
+    return _per_spectrum(log_power / (1.0 - alpha))
+
+
 def spectrum_series_flat(eigs: np.ndarray, terms: int) -> float | np.ndarray:
     """series_estimate_flat read off a spectrum.  The power sums, like the
     sum in spectrum_entropy, run over positive terms only, so zero padding
@@ -114,9 +127,10 @@ def trace_power(rho: DensityMatrix, alpha: float) -> float:
 
 
 def renyi(rho: DensityMatrix, alpha: float) -> float:
-    """Renyi entropy of order alpha: log2(Tr rho^alpha) / (1 - alpha)."""
+    """Renyi entropy of order alpha: log2(Tr rho^alpha) / (1 - alpha), as
+    spectrum_renyi takes it."""
     check_alpha(alpha)
-    return math.log2(trace_power(rho, alpha)) / (1.0 - alpha)
+    return spectrum_renyi(eigvals_hermitian(rho.matrix), alpha)
 
 
 def conditional_renyi(rho: DensityMatrix, alpha: float) -> float:

@@ -25,8 +25,16 @@ from .tolerances import PROB_FLOOR
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 
-# Bell amplitudes as _BELL[k, b1, b2]; all real, so no conjugation is needed
-_BELL = np.array(_BELL_VECTORS, dtype=float).reshape(4, 2, 2) / np.sqrt(2.0)
+# The four Bell projectors as one matrix P[(x u), (k y v)] = <x y|k><k|u v>,
+# with kets (x y) and bras (u v) on (B1, B2); the amplitudes are real and
+# +-1/sqrt(2) or 0, so each entry is exactly 0 or +-1/2
+_KETS = np.array(_BELL_VECTORS, dtype=complex).reshape(4, 2, 2)  # [k, x, y], times sqrt(2)
+_PROJECTOR = (
+    (_KETS[:, :, None, :, None] * _KETS[:, None, :, None, :] / 2)  # [k, x, u, y, v]
+    .transpose(1, 2, 0, 3, 4)
+    .reshape(4, 16)
+)
+del _KETS
 
 
 @dataclass(frozen=True)
@@ -72,42 +80,34 @@ _BLOCK_PAIRS = 256
 
 
 def _branches(ab: np.ndarray, bc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities (..., 4) and conditional states (..., 4, 4, 4) of the
-    four Bell branches for the two-qubit matrices ab and bc (..., 4, 4),
-    whose leading shapes broadcast.  A branch at or below PROB_FLOOR has no
-    conditional state and keeps zeros.
+    """Probabilities (m, n, 4) and conditional states (m, n, 4, 4, 4) of
+    the four Bell branches for every pair (ab[i], bc[j]) of the stacks ab
+    (m, 4, 4) and bc (n, 4, 4) of two-qubit matrices.  A branch at or below
+    PROB_FLOOR has no conditional state and keeps zeros.
 
-    For each Bell projector P on (B1, B2): probability = Tr[(I x P x I) rho]
+    For each Bell projector on (B1, B2): probability = Tr[(I x P x I) rho]
     and conditional = Tr_{B1 B2}[(I x P x I) rho (I x P x I)] / probability,
-    with rho = rho_AB (x) rho_BC.  The traced sandwich equals the partial
-    inner product <Bell_k| rho |Bell_k> on (B1, B2), so all four come from
-    one contraction of the two (..., 2, 2, 2, 2) input tensors.
+    with rho = rho_AB (x) rho_BC.  The traced sandwich is the partial inner
+    product <Bell_k| rho |Bell_k> on (B1, B2), so all four blocks of all
+    pairs come from two matrix products: ab as [(i a b), (x u)] times
+    _PROJECTOR [(x u), (k y v)], then that as [(i k a b), (y v)] times bc as
+    [(y v), (j c d)].  Each entry of either product is a sum of four terms
+    whatever the stacks around it, so a pair gets the bits it gets alone
+    (tests/test_stacks.py checks this up to a full block of the grid).
     """
-    # ab[a x, b u] and bc[y c, v d]: the Bell ket pairs (x y), the bra
-    # (u v); the result is indexed [pair, k, (a c), (b d)].  With the pair
-    # axis innermost in memory, einsum loops along it: the arithmetic of
-    # each pair is unchanged, and its loop overhead is paid once per stack.
-    lead = np.broadcast_shapes(ab.shape[:-2], bc.shape[:-2])
-    blocks = np.einsum(
-        "kxy,kuv,paxbu,pycvd->pkacbd",
-        _BELL,
-        _BELL,
-        _pairs_innermost(ab, lead),
-        _pairs_innermost(bc, lead),
-    )
-    blocks = blocks.reshape(lead + (4, 4, 4))
-    probs = np.trace(blocks, axis1=-2, axis2=-1).real
+    m, n = len(ab), len(bc)
+    # ab[i, (a x), (b u)] and bc[j, (y c), (v d)]
+    left = ab.reshape(m, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(4 * m, 4)
+    half = (left @ _PROJECTOR).reshape(m, 2, 2, 4, 4).transpose(0, 3, 1, 2, 4)
+    right = bc.reshape(n, 2, 2, 2, 2).transpose(1, 3, 0, 2, 4).reshape(4, 4 * n)
+    full = (half.reshape(16 * m, 4) @ right).reshape(m, 4, 2, 2, n, 2, 2)
+    # [i, k, a, b, j, c, d] -> [i, j, k, (a c), (b d)]: a copy, normalized in place
+    blocks = full.transpose(0, 4, 1, 2, 5, 3, 6).reshape(m, n, 4, 4, 4)
+    probs = blocks.reshape(m, n, 4, 16)[..., ::5].real.sum(axis=-1)  # the traces
     live = probs > PROB_FLOOR
-    conds = blocks / np.where(live, probs, 1.0)[..., None, None]
-    conds[~live] = 0.0
-    return probs, conds
-
-
-def _pairs_innermost(x: np.ndarray, lead: tuple) -> np.ndarray:
-    """x broadcast to lead + (4, 4), as a (pairs, 2, 2, 2, 2) view whose
-    pair axis has the smallest stride."""
-    flat = np.broadcast_to(x, lead + (4, 4)).reshape(-1, 16)
-    return np.ascontiguousarray(flat.T).T.reshape(-1, 2, 2, 2, 2)
+    blocks /= np.where(live, probs, 1.0)[..., None, None]
+    blocks[~live] = 0.0
+    return probs, blocks
 
 
 def swap_conditionals(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> list[SwapOutcome]:
@@ -115,10 +115,10 @@ def swap_conditionals(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> list[Swap
     _branches for how they are computed."""
     _require_two_qubit(rho_ab, "rho_ab")
     _require_two_qubit(rho_bc, "rho_bc")
-    probs, conds = _branches(rho_ab.matrix, rho_bc.matrix)
+    probs, conds = _branches(rho_ab.matrix[None], rho_bc.matrix[None])
     return [
         SwapOutcome(label, float(p), DensityMatrix(c, (2, 2)) if p > PROB_FLOOR else None)
-        for label, p, c in zip(OUTCOME_LABELS, probs, conds)
+        for label, p, c in zip(OUTCOME_LABELS, probs[0, 0], conds[0, 0])
     ]
 
 
@@ -134,36 +134,39 @@ def retrieval_grid(rho_ab: np.ndarray, rho_bc: np.ndarray) -> RetrievalGrid:
     succeeds when both inputs are inside ACVENN and the conditional state
     of some Bell branch above PROB_FLOOR is not (_retrieved).
 
-    Each input stack is validated once and diagonalized in one
-    eigvals_hermitian call.  The conditional states are formed, validated
-    and diagonalized a block of rows of the grid at a time, one call each
-    per block of about _BLOCK_PAIRS pairs, so that memory beyond the
-    returned arrays does not grow with the grid.
+    The two input stacks are validated as one stack and diagonalized in
+    one eigvals_hermitian call; a member's spectrum does not depend on the
+    stack around it, and a rejection names the first bad member, rho_ab's
+    before rho_bc's.  The conditional states are formed (_branches),
+    validated and diagonalized a block of rows of the grid at a time, one
+    call each per block of about _BLOCK_PAIRS pairs, so that memory beyond
+    the returned arrays does not grow with the grid.
     """
     ab = np.asarray(rho_ab, dtype=complex)
     bc = np.asarray(rho_bc, dtype=complex)
     for name, x in (("rho_ab", ab), ("rho_bc", bc)):
         if x.ndim != 3 or x.shape[1:] != (4, 4):
             raise DimensionMismatch(f"{name} must be a stack of 4x4 matrices, got shape {x.shape}")
-        DensityMatrix.validate(x)
-    member_ab, entropy_ab = _acvenn(eigvals_hermitian(ab), 2)
-    member_bc, entropy_bc = _acvenn(eigvals_hermitian(bc), 2)
-    shape = (len(ab), len(bc), 4)
+    inputs = np.concatenate([ab, bc])
+    DensityMatrix.validate(inputs)
+    member, entropy = _acvenn(eigvals_hermitian(inputs), 2)
+    m = len(ab)
+    shape = (m, len(bc), 4)
     probs = np.empty(shape)
     entropies = np.full(shape, np.nan)
     left = np.zeros(shape, dtype=bool)
     rows = max(1, _BLOCK_PAIRS // max(1, len(bc)))
-    for lo in range(0, len(ab), rows):
+    for lo in range(0, m, rows):
         block = slice(lo, lo + rows)
-        probs[block], conds = _branches(ab[block, None], bc[None, :])
+        probs[block], conds = _branches(ab[block], bc)
         live = probs[block] > PROB_FLOOR
         states = conds[live]
         DensityMatrix.validate(states)
-        member, entropy = _acvenn(eigvals_hermitian(states), 2)
-        entropies[block][live] = entropy
-        left[block][live] = ~member
-    success = _retrieved(member_ab[:, None], member_bc[None, :], left)
-    return RetrievalGrid(entropy_ab, member_ab, entropy_bc, member_bc, probs, entropies, success)
+        stayed, entropy_block = _acvenn(eigvals_hermitian(states), 2)
+        entropies[block][live] = entropy_block
+        left[block][live] = ~stayed
+    success = _retrieved(member[:m, None], member[None, m:], left)
+    return RetrievalGrid(entropy[:m], member[:m], entropy[m:], member[m:], probs, entropies, success)
 
 
 def retrieval_success(rho_ab: DensityMatrix, rho_bc: DensityMatrix) -> tuple[bool, RetrievalReport]:

@@ -194,24 +194,30 @@ def intervals(f, criteria, lo: float, hi: float, points: int = 2001) -> list[lis
     return found
 
 
+# The one spec of a number cell: 9 significant digits
+_NUMBER = "%.9g"
+
+
 def format_number(x: float) -> str:
     """Decimal rendering at 9 significant digits, shared by all CSV output."""
-    return f"{float(x):.9g}"
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format_number(value)
+    return _NUMBER % float(x)
 
 
 def write_csv_rows(path, header, rows) -> None:
     """The one CSV writer: text is written as given, a bool as true/false,
-    and any other value through format_number."""
+    and any other value as format_number renders it.
+
+    Each row is rendered by one %-template built from the kinds of the
+    first row's cells: %s for text and for a bool (mapped to its text
+    first), _NUMBER for a number.  Every row holds cells of those kinds."""
+    template = None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(c) for c in row) + "\n")
-
+            cells = list(row)
+            if template is None:
+                template = ",".join("%s" if isinstance(c, (str, bool)) else _NUMBER for c in cells) + "\n"
+                flags = [k for k, c in enumerate(cells) if isinstance(c, bool)]
+            for k in flags:
+                cells[k] = "true" if cells[k] else "false"
+            fh.write(template % tuple(cells))

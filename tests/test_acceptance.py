@@ -34,7 +34,7 @@ from absq.entropy import (
     renyi,
     series_estimate_flat,
     spectrum_entropy,
-    spectrum_power,
+    spectrum_renyi,
     trace_power,
     von_neumann,
 )
@@ -366,14 +366,17 @@ class TestCriterionEquivalences:
             rhos = [random_density((d, d), seed) for seed in seeds]
             eigs = eigvals_hermitian(np.array([rho.matrix for rho in rhos]))
             for alpha in (0.3, 0.7, 2.0, 5.0):
-                by_trace, power = _acrenn(eigs, d, alpha)
-                # renyi's arithmetic member by member: math.log2 of Tr rho^alpha
-                entropies = np.array([math.log2(w) for w in power]) / (1.0 - alpha)
-                by_entropy = entropies >= math.log2(d) - 1e-9
+                by_entropy, power = _acrenn(eigs, d, alpha)
+                # Tr rho^alpha against d^(1 - alpha), on the side alpha says
+                bound = d ** (1.0 - alpha)
+                by_trace = power >= bound - 1e-9 if alpha < 1 else power <= bound + 1e-9
+                # renyi's arithmetic on the whole stack
+                entropies = spectrum_renyi(eigs, alpha)
+                assert np.allclose(entropies, np.log2(power) / (1.0 - alpha), rtol=0, atol=1e-12)
                 disagreements += int(np.count_nonzero(by_trace != by_entropy))
                 for i in (0, 50, len(rhos) - 1):
                     ok, witness = is_acrenn(rhos[i], alpha)
-                    assert ok == by_trace[i] and bits(witness) == bits(power[i])
+                    assert ok == by_entropy[i] and bits(witness) == bits(power[i])
                     assert bits(renyi(rhos[i], alpha)) == bits(entropies[i])
         check("order-alpha criterion equivalence", disagreements == 0, "200 states x 4 alphas")
 
@@ -508,9 +511,8 @@ class TestAbsolutenessSampling:
         rotated, marginals = self._rotated(states, haar)
 
         def renyi_stack(m):
-            # renyi's arithmetic member by member: math.log2 of Tr rho^alpha
-            powers = spectrum_power(eigvals_hermitian(m), alpha)
-            return np.array([math.log2(w) for w in powers.flat]).reshape(powers.shape) / (1.0 - alpha)
+            # renyi's arithmetic on the whole stack
+            return spectrum_renyi(eigvals_hermitian(m), alpha)
 
         c = renyi_stack(rotated) - renyi_stack(marginals)
         spot_check(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from absq.bloch import decompose_bipartite, decompose_tripartite
-from absq.channels import double_apply, make_channel
+from absq.channels import double_apply, global_depolarize, make_channel
 from absq.classify import (
     _acrenn,
     acre2nn_bloch,
@@ -17,7 +17,7 @@ from absq.classify import (
     majorizes,
     marginal_acre2nn,
 )
-from absq.entropy import renyi, spectrum_power
+from absq.entropy import renyi, spectrum_power, spectrum_renyi, trace_power
 from absq.errors import AlphaOutOfDomain, DimensionMismatch, SumMismatch
 from absq.linalg import eigvals_hermitian, haar_unitary
 from absq.states import (
@@ -29,6 +29,7 @@ from absq.states import (
     pure_schmidt,
     random_density,
 )
+from absq.tolerances import CLASS_MARGIN
 
 from conftest import bits
 
@@ -103,15 +104,61 @@ class TestAcrenn:
         rhos = [random_density((2, 2), seed) for seed in range(200)]
         eigs = eigvals_hermitian(np.array([rho.matrix for rho in rhos]))
         for alpha in (0.3, 0.7, 2.0, 5.0):
-            by_trace = _acrenn(eigs, 2, alpha)[0]
+            by_entropy = _acrenn(eigs, 2, alpha)[0]
             power = spectrum_power(eigs, alpha)
-            # renyi's arithmetic member by member: math.log2 of Tr rho^alpha
-            entropies = np.array([math.log2(w) for w in power]) / (1.0 - alpha)
-            assert np.array_equal(by_trace, entropies >= 1.0 - 1e-9)
+            bound = 2.0 ** (1.0 - alpha)
+            by_trace = power >= bound - 1e-9 if alpha < 1 else power <= bound + 1e-9
+            assert np.array_equal(by_entropy, by_trace)
+            # renyi's arithmetic on the whole stack
+            entropies = spectrum_renyi(eigs, alpha)
+            assert np.array_equal(by_entropy, entropies >= 1.0 - CLASS_MARGIN)
+            assert np.allclose(entropies, np.log2(power) / (1.0 - alpha), rtol=0, atol=1e-12)
             for i in (0, 100, len(rhos) - 1):
                 ok, witness = is_acrenn(rhos[i], alpha)
-                assert ok == by_trace[i] and bits(witness) == bits(power[i])
+                assert ok == by_entropy[i] and bits(witness) == bits(power[i])
                 assert bits(renyi(rhos[i], alpha)) == bits(entropies[i])
+
+
+class TestAcrennLargeOrder:
+    """At a large order Tr rho^alpha and d^(1 - alpha) both fall below
+    CLASS_MARGIN, or underflow to 0; the verdict is still S_alpha >= log2 d."""
+
+    @pytest.mark.parametrize("alpha", [200.0, 2000.0, 1e10])
+    def test_depolarized_bell_state_stays_outside(self, alpha):
+        rho = global_depolarize(bell_state(0), 0.3)  # lambda_max = 0.775
+        s = renyi(rho, alpha)
+        assert math.isfinite(s) and s < 1.0
+        ok, witness = is_acrenn(rho, alpha)
+        assert ok is False and witness < CLASS_MARGIN
+        assert classification_report(rho, (alpha,)).acrenn[alpha] == (ok, witness)
+
+    def test_renyi_tends_to_the_min_entropy(self):
+        rho = global_depolarize(bell_state(0), 0.3)
+        assert renyi(rho, 2000.0) == pytest.approx(0.368, abs=1e-3)
+        assert trace_power(rho, 1e10) == 0.0  # underflows
+        assert renyi(rho, 1e10) == pytest.approx(-math.log2(0.775), abs=1e-9)
+
+    def test_mixed_enough_state_stays_inside(self):
+        rho = depolarized_schmidt(0.5, 0.3)  # lambda_max = 0.475
+        assert renyi(rho, 1e10) == pytest.approx(-math.log2(0.475), abs=1e-9)
+        assert is_acrenn(rho, 1e10)[0] is True
+
+    @settings(max_examples=200)
+    @given(
+        d=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        mix=st.floats(0.0, 1.0),
+        alpha=st.one_of(st.floats(1e-6, 1e10), st.sampled_from([0.5, 2.0, 41.0, 1e10])),
+    )
+    def test_verdict_is_renyi_against_log2_d(self, d, seed, mix, alpha):
+        assume(alpha != 1.0)
+        # a random state pulled toward the maximally mixed one, so that the
+        # drawn states fall on both sides of the boundary at every order
+        noisy = random_density((d, d), seed).matrix
+        rho = DensityMatrix((1.0 - mix) * noisy + mix * np.eye(d * d) / (d * d), (d, d))
+        s = renyi(rho, alpha)
+        assert math.isfinite(s)
+        assert is_acrenn(rho, alpha)[0] == (s >= math.log2(d) - CLASS_MARGIN)
 
 
 class TestAcre2nn:

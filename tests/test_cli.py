@@ -103,6 +103,17 @@ class TestClassifyCommand:
         assert lines[0] == "criterion,member,witness"
         assert any(line.startswith("afef,false,1") for line in lines)
 
+    def test_large_order_keeps_its_case(self, tmp_path, capsys):
+        # only the class name is upper-cased on stdout; the verdict at
+        # alpha = 1e10 is the Renyi entropy's, though Tr rho^alpha underflows
+        path = tmp_path / "report.csv"
+        argv = ["classify", "--state", "bell:index=0", "--channel", "global-depolarizing:p=0.3"]
+        code = main(argv + ["--alpha", "1e10", "--csv", str(path)])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert "ACRENN[1e+10] False  trace_power = 0 (threshold 0)" in out.splitlines()
+        assert "acrenn[1e+10],false,0" in path.read_text().splitlines()
+
     def test_bad_spec_exits_nonzero(self, capsys):
         code = main(["classify", "--state", "iso:d=3,beta=9"])
         err = capsys.readouterr().err

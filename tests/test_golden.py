@@ -10,8 +10,8 @@ The table, swap-scan and table2_points51 files were written by the
 implementation that preceded the transfer-tensor channels and the einsum
 Bell projection; table2_points2001.csv was written before table2 shared one
 spectrum per grid state between its AC and AF scans; table2_points2.csv and
-the classify files were written before every CSV cell went through the one
-cell renderer of sweep.write_csv_rows; table4_terms12.csv was written while
+the classify files were written before every CSV went through the one
+writer sweep.write_csv_rows; table4_terms12.csv was written while
 each d of table4 was still bisected alone.  The endpoint cells of the six
 table files, and their delta cells, were amended one by one when boundary
 finding moved from bisection at 1e-7 to ITP steps at 1e-12: each new endpoint

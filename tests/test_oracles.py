@@ -3,7 +3,8 @@ absq_bench/checks.py, which recompute them with numpy and scipy alone:
 Kraus-built boundaries and the paper's values for table2, brentq on the
 closed-form isotropic spectra for table3 and table4, closed-form spectra and
 an einsum Bell projection for swap-scan.  The goldens catch a change of
-output; these catch an error in it.  Sizes are those of the goldens.
+output; these catch an error in it.  Sizes are those of the goldens, and
+swap-scan also runs at r = 15, past the first block of its grid.
 """
 
 import importlib.util
@@ -54,11 +55,24 @@ def test_table4(terms, tmp_path):
         assert lam == f"{checks.table4_boundary(int(d), terms):.9g}"
 
 
-@pytest.mark.parametrize(
+SWAP_FAMILIES = pytest.mark.parametrize(
     "family,flag,fixed",
     [("global-depolarizing", "--p2", "0.705882"), ("amplitude-damping", "--p4", "0.714286")],
 )
-def test_swap_scan(family, flag, fixed, tmp_path):
-    r = 4
+
+
+def scan_and_check(family, flag, fixed, r, tmp_path):
     text = run(["swap-scan", "--family", family, "--resolution", str(r), flag, fixed], tmp_path)
     checks.check_swap_scan(text, family, r, float(fixed), range(r**3))
+
+
+@SWAP_FAMILIES
+def test_swap_scan(family, flag, fixed, tmp_path):
+    # r = 4: the 64 pairs of the grid are one block of retrieval_grid
+    scan_and_check(family, flag, fixed, 4, tmp_path)
+
+
+@SWAP_FAMILIES
+def test_swap_scan_past_one_block(family, flag, fixed, tmp_path):
+    # r = 15: 225 x 15 pairs, in 14 blocks of 17 rows (the last of 4)
+    scan_and_check(family, flag, fixed, 15, tmp_path)

@@ -6,7 +6,7 @@ import pytest
 
 from absq.channels import double_apply, make_channel
 from absq.entropy import trace_power, von_neumann
-from absq.errors import DimensionMismatch
+from absq.errors import DimensionMismatch, InvalidState
 from absq.linalg import partial_trace
 from absq.states import DensityMatrix, bell_state, depolarized_schmidt, pure_schmidt, random_density
 from absq import swap
@@ -107,6 +107,25 @@ def test_retrieval_grid_of_an_empty_stack(empty):
     assert grid.probabilities.shape == grid.conditional_entropies.shape == shape + (4,)
     assert grid.success.shape == shape
     assert (len(grid.member_ab), len(grid.member_bc)) == shape
+
+
+@pytest.mark.parametrize(
+    "bad_ab,bad_bc,message",
+    [
+        (True, True, r"^trace = 2\+0j, expected 1$"),
+        (False, True, r"^negative eigenvalue -2\.500e-01 below PSD floor$"),
+    ],
+)
+def test_retrieval_grid_names_the_first_bad_input(bad_ab, bad_bc, message):
+    # the two input stacks are validated as one, rho_ab's members first
+    ab = np.array([bell_state(0).matrix, bell_state(1).matrix])
+    bc = np.array([bell_state(2).matrix, depolarized_schmidt(0.3, 0.8).matrix])
+    if bad_ab:
+        ab[1] = 2 * ab[1]
+    if bad_bc:
+        bc[0] = np.diag([1.25, -0.25, 0.0, 0.0])
+    with pytest.raises(InvalidState, match=message):
+        retrieval_grid(ab, bc)
 
 
 class TestRetrievalSuccess:

@@ -15,6 +15,7 @@ from absq.sweep import (
     _bisection,
     _side_by_side,
     find_boundary,
+    format_number,
     intervals,
     write_csv_rows,
 )
@@ -419,3 +420,42 @@ class TestEmitCsv:
         path = tmp_path / "nl.csv"
         write_csv_rows(path, ["predicate", "lo"], [])
         assert path.read_text(encoding="utf-8").endswith("\n")
+
+    @settings(max_examples=500)
+    @given(
+        x=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            st.integers(-(10**300), 10**300),
+        )
+    )
+    @example(x=math.nan)
+    @example(x=math.inf)
+    @example(x=-math.inf)
+    @example(x=-0.0)
+    @example(x=5e-324)
+    @example(x=-2.2250738585072e-308)
+    @example(x=0.1 + 0.2)
+    @example(x=999999999.5)
+    @example(x=2**53 + 1)
+    @example(x=0)
+    @example(x=-7)
+    def test_row_template_renders_a_number_as_format_number(self, x):
+        # the row template's number cell, format_number, and format() of
+        # the float, for every float and for ints
+        assert "%.9g" % x == format_number(x) == f"{float(x):.9g}"
+
+    def test_each_cell_kind_renders_as_alone(self, tmp_path):
+        # text as given, a bool as true/false, an int and a float as
+        # format_number; the kinds of every row are those of the first
+        rows = [
+            ["depolarizing", 2, True, 1 / 3, math.nan, -0.0, math.inf, np.float64(5e-324)],
+            ["bit_flip", 1, False, -2.5e-17, 1e300, 0.0, -math.inf, np.float64(0.1)],
+        ]
+        path = tmp_path / "kinds.csv"
+        write_csv_rows(path, list("abcdefgh"), (iter(row) for row in rows))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            "a,b,c,d,e,f,g,h",
+            "depolarizing,2,true,0.333333333,nan,-0,inf,4.94065646e-324",
+            "bit_flip,1,false,-2.5e-17,1e+300,0,-inf,0.1",
+        ]
