@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bloch, channels, classify, entropy, states, swap, sweep
 from .errors import AbsqError, NoSignChange, UsageError
-from .linalg import eigvals_hermitian
+from .linalg import eigvals_x_hermitian
 from .sweep import format_number, write_csv_rows
 from .tolerances import BISECTION_TOL
 
@@ -230,7 +230,11 @@ def table2_rows(points: int = 2001):
     values and deltas.  The depolarizing row is also reported under the
     single-sided reading since its reference cell does not state one.
 
-    The witness reaches into channels for _kraus_stack and _transfer: it
+    The Acin state is zero off its diagonal and anti-diagonal, and every
+    channel of the table keeps that X shape on either qubit, so the witness
+    reads each validated state's spectrum in closed form from
+    eigvals_x_hermitian, which refuses a state that is not an X-matrix.
+    It reaches into channels for _kraus_stack and _transfer: it
     pads the Kraus sets of several channels to four operators and makes
     one _transfer call on all of them per witness call, a stack that no
     public channels entry builds.
@@ -248,10 +252,10 @@ def table2_rows(points: int = 2001):
         (f"{channel}/{crit}", target, sense) for channel, _ in scans for crit, target, sense in tests
     ]
     # every call of the witness, on the grids of all scans or on one step
-    # of all open brackets, is one stack of states built,
-    # validated and solved at once; each distinct (scan, p) of a call is
-    # solved once, so the AC and AF scans share their states (no state
-    # recurs from one call to a later one)
+    # of all open brackets, is one stack of states built, validated and
+    # read off at once; each distinct (scan, p) of a call is built once,
+    # so the AC and AF scans share their states (no state recurs from one
+    # call to a later one)
 
     def witness(which, ps):
         keys = list(zip((which // 2).tolist(), ps.tolist()))
@@ -267,7 +271,7 @@ def table2_rows(points: int = 2001):
         one_sided = np.array([scans[k][1] == 1 for k, _ in todo])[:, None, None, None, None]
         rho = channels.double_apply_stack(s, np.where(one_sided, ident, s), base)
         states.DensityMatrix.validate(rho)
-        spectra = dict(zip(todo, eigvals_hermitian(rho)))
+        spectra = dict(zip(todo, eigvals_x_hermitian(rho)))
         spec = np.array([spectra[key] for key in keys])
         values = spec[:, 0]  # AF: the largest eigenvalue
         ac = which % 2 == 0

@@ -76,22 +76,27 @@ def spectrum_renyi(eigs: np.ndarray, alpha: float) -> float | np.ndarray:
 
 
 def spectrum_series_flat(eigs: np.ndarray, terms: int) -> float | np.ndarray:
-    """series_estimate_flat read off a spectrum.  The power sums, like the
-    sum in spectrum_entropy, run over positive terms only, so zero padding
-    drops out; all g(k) are formed at once, each in its own term order."""
+    """series_estimate_flat read off a spectrum, in one polynomial pass.
+
+    sum_k g(k)/k is linear in the power sums: R_{m+1} enters g(m) with
+    weight (-1)^m and g(m+1) ... g(T) with weight (-1)^m k, so the total is
+    sum_k 1/k + sum_i P(lambda_i) with P(x) = sum_m w_m x^{m+1} and
+    w_m = (-1)^m (1/m + T - m), m = 1 ... T.  P is evaluated by Horner's
+    rule, one array of the spectrum's shape whatever T is.  The sum over
+    the lambda_i, like the one in spectrum_entropy, runs over positive terms
+    only, so zero padding drops out."""
     if terms < 1:
         raise OutOfRange(f"terms must be >= 1, got {terms}")
     eigs = _clamp(eigs)
-    pos = eigs > 0
-    r = np.stack([np.sum(eigs ** n, axis=-1, where=pos) for n in range(2, terms + 2)], axis=-1)
-    ks = np.arange(1.0, terms + 1)
-    g = 1.0 + (-1.0) ** ks * r  # g[..., k - 1] = g(k); r[..., n - 2] = R_n
-    for m in range(1, terms):
-        g[..., m:] += (-1.0) ** m * ks[m:] * r[..., m - 1 : m]  # + (-1)^m k R_{m+1}
-    total = 0.0
-    for k in range(terms):
-        total += g[..., k] / ks[k]
-    return _per_spectrum(total)
+    m = np.arange(1, terms + 1)
+    coefficients = np.zeros(terms + 2)  # of x^0 ... x^{T+1}
+    coefficients[2:] = (-1.0) ** m * (1.0 / m + (terms - m))
+    poly = np.zeros_like(eigs)
+    for c in coefficients[::-1]:
+        poly *= eigs
+        poly += c
+    harmonic = np.sum(1.0 / m)
+    return _per_spectrum(harmonic + np.sum(poly, axis=-1, where=eigs > 0))
 
 
 def von_neumann(rho: DensityMatrix) -> float:

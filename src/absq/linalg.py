@@ -10,7 +10,8 @@ runs over the whole stack, and only the members that fail it are swept
 again.  Two or more such members sweep in lockstep, one stacked rotation per
 (p, q) for those whose a_pq is above their skip level; the stacked rotation
 is the scalar one bit for bit, so a member's eigenvalues still do not depend
-on its stack.
+on its stack.  A 4x4 X-matrix, zero off its diagonal and anti-diagonal, has
+its spectrum in closed form instead (eigvals_x_hermitian).
 """
 
 from __future__ import annotations
@@ -193,6 +194,44 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
         raise NotConverged("Jacobi iteration failed to converge")
     eigs = np.diagonal(a, axis1=1, axis2=2).real
     return np.sort(eigs.reshape(m.shape[:-1]), axis=-1)[..., ::-1]
+
+
+# the entries of a 4x4 matrix off its diagonal and anti-diagonal
+_OFF_X = (np.add.outer(np.arange(4), np.arange(4)) != 3) & ~np.eye(4, dtype=bool)
+
+
+def eigvals_x_hermitian(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian 4x4 X-matrix (zero off the diagonal and the
+    anti-diagonal), or of every member of a stack (..., 4, 4) of them,
+    sorted non-increasing along the last axis, in closed form.
+
+    Such a matrix is the direct sum of its blocks on {0, 3} and {1, 2}, and
+    a block [[a, b], [b*, d]] has eigenvalues (a + d)/2 +- hypot((a - d)/2,
+    |b|).  The input is taken Hermitian, as DensityMatrix.validate checks it:
+    the real diagonal and the upper anti-diagonal are read, nothing else.
+    Each member's eigenvalues are elementwise in its entries, so they do not
+    depend on the stack around it.  Raises DimensionMismatch for a shape
+    that is not (..., 4, 4), or naming the first member with an entry off
+    the X that is not zero.
+    """
+    m = np.asarray(m, dtype=complex)
+    if _require_square(m) != 4:
+        raise DimensionMismatch(f"expected 4x4 X-matrices, got shape {m.shape}")
+    off = (m[..., _OFF_X] != 0).reshape(-1, 8)  # a NaN entry off the X is refused too
+    if off.any():
+        first = int(np.argmax(off.any(axis=1)))
+        p, q = np.argwhere(_OFF_X)[np.argmax(off[first])]
+        raise DimensionMismatch(
+            f"member {first} is not an X-matrix: entry ({p}, {q}) = "
+            f"{complex(m.reshape(-1, 4, 4)[first, p, q]):.3e} is off the X and not zero"
+        )
+    diag = np.diagonal(m, axis1=-2, axis2=-1).real
+    top, bottom = diag[..., [0, 1]], diag[..., [3, 2]]  # blocks {0, 3} and {1, 2}
+    coherence = m[..., [0, 1], [3, 2]]
+    mean = (top + bottom) / 2.0
+    radius = np.hypot((top - bottom) / 2.0, np.hypot(coherence.real, coherence.imag))
+    eigs = np.concatenate([mean + radius, mean - radius], axis=-1)
+    return np.sort(eigs, axis=-1)[..., ::-1]
 
 
 def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> np.ndarray:

@@ -428,13 +428,13 @@ class TestSwapScanCommand:
     def test_eigensolver_calls_do_not_grow_with_resolution(self, family, monkeypatch, tmp_path, capsys):
         # the inputs and the conditional states are solved as whole stacks
         calls = []
-        solve = cli.eigvals_hermitian
+        solve = linalg.eigvals_hermitian
 
         def counted(m):
             calls.append(m.shape)
             return solve(m)
 
-        for module in (states, entropy, classify, swap, cli):
+        for module in (states, entropy, classify, swap):
             monkeypatch.setattr(module, "eigvals_hermitian", counted)
         counts = []
         for r in ("2", "5"):
@@ -531,7 +531,7 @@ class TestTableRowHelpers:
         # solved before; criterion 2k is AC and 2k + 1 is AF on scan k
         calls, solved = [], []
         intervals = sweep.intervals
-        solve = cli.eigvals_hermitian
+        solve = cli.eigvals_x_hermitian
 
         def traced(f, *args, **kwargs):
             def witness(which, ps):
@@ -545,12 +545,12 @@ class TestTableRowHelpers:
             return solve(m)
 
         monkeypatch.setattr(sweep, "intervals", traced)
-        monkeypatch.setattr(cli, "eigvals_hermitian", counted)
+        monkeypatch.setattr(cli, "eigvals_x_hermitian", counted)
         table2_rows(points=7)
-        # the grid, then each step of the brackets, 1/6 wide: 10 steps, at
+        # the grid, then each step of the brackets, 1/6 wide: 9 steps, at
         # most the ITP bound of one more than bisection would take
-        assert len(calls) == len(solved) == 1 + 10
-        assert 10 <= math.ceil(math.log2((1 / 6) / BISECTION_TOL)) + 1
+        assert len(calls) == len(solved) == 1 + 9
+        assert 9 <= math.ceil(math.log2((1 / 6) / BISECTION_TOL)) + 1
         seen = set()
         for keys, count in zip(calls, solved):
             new = set(keys) - seen
@@ -583,9 +583,9 @@ class TestTableRowHelpers:
         table2_rows(points=7)
         monkeypatch.undo()
         # the identity map of the one-sided scan, then one call per witness
-        # call: the grid and 10 steps
+        # call: the grid and 9 steps
         assert calls[0][0] == [("depolarizing", [0.0])]
-        assert len(calls) == 1 + 11
+        assert len(calls) == 1 + 10
         assert {name for group, _, _ in calls[1:] for name, _ in group} == set(cli.TABLE2_CHANNELS)
         for group, shape, s in calls[1:]:
             assert shape == (sum(len(ps) for _, ps in group), 4, 2, 2)
@@ -653,16 +653,16 @@ class TestTableRowHelpers:
     def test_isotropic_tables_solve_no_matrix(self, rows, monkeypatch):
         shapes = []
 
-        def counting(module):
-            solve = module.eigvals_hermitian
+        def counting(module, name):
+            solve = getattr(module, name)
 
             def counted(m):
                 shapes.append(m.shape)
                 return solve(m)
 
-            monkeypatch.setattr(module, "eigvals_hermitian", counted)
+            monkeypatch.setattr(module, name, counted)
 
-        for module in (cli, entropy):
-            counting(module)
+        for module, name in ((cli, "eigvals_x_hermitian"), (entropy, "eigvals_hermitian")):
+            counting(module, name)
         rows()
         assert shapes == []
