@@ -12,12 +12,13 @@ import argparse
 import itertools
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import bloch, channels, classify, entropy, states, swap, sweep
 from .errors import AbsqError, NoSignChange, UsageError
-from .linalg import eigvals_x_hermitian
+from .linalg import eigvals_hermitian
 from .sweep import format_number, write_csv_rows
 from .tolerances import BISECTION_TOL
 
@@ -230,10 +231,6 @@ def table2_rows(points: int = 2001):
     values and deltas.  The depolarizing row is also reported under the
     single-sided reading since its reference cell does not state one.
 
-    The Acin state is zero off its diagonal and anti-diagonal, and every
-    channel of the table keeps that X shape on either qubit, so the witness
-    reads each validated state's spectrum in closed form from
-    eigvals_x_hermitian, which refuses a state that is not an X-matrix.
     It reaches into channels for _kraus_stack and _transfer: it
     pads the Kraus sets of several channels to four operators and makes
     one _transfer call on all of them per witness call, a stack that no
@@ -271,7 +268,7 @@ def table2_rows(points: int = 2001):
         one_sided = np.array([scans[k][1] == 1 for k, _ in todo])[:, None, None, None, None]
         rho = channels.double_apply_stack(s, np.where(one_sided, ident, s), base)
         states.DensityMatrix.validate(rho)
-        spectra = dict(zip(todo, eigvals_x_hermitian(rho)))
+        spectra = dict(zip(todo, eigvals_hermitian(rho)))
         spec = np.array([spectra[key] for key in keys])
         values = spec[:, 0]  # AF: the largest eigenvalue
         ac = which % 2 == 0
@@ -494,14 +491,19 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
-    try:
-        return args.func(args)
-    except (AbsqError, MemoryError) as exc:  # numpy names the allocation it refused
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return USAGE_ERROR if isinstance(exc, UsageError) else COMPUTATION_ERROR
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return COMPUTATION_ERROR
+    # a library warning is one `warning:` line after a success, none after an error
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except (AbsqError, MemoryError) as exc:  # numpy names the allocation it refused
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+            return USAGE_ERROR if isinstance(exc, UsageError) else COMPUTATION_ERROR
+        except OSError as exc:
+            print(f"io error: {exc}", file=sys.stderr)
+            return COMPUTATION_ERROR
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

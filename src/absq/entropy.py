@@ -16,12 +16,13 @@ import numpy as np
 from .errors import AlphaOutOfDomain, DimensionMismatch, InvalidState, OutOfRange
 from .linalg import eigvals_hermitian
 from .states import DensityMatrix
-from .tolerances import PSD_FLOOR
+from .tolerances import EIG_ZERO, ENTROPY_FLOOR, PSD_FLOOR
 
 
 def _clamp(eigs: np.ndarray) -> np.ndarray:
-    """Non-increasing spectra (along the last axis) with tiny negative
-    roundoff mapped to exact zero.
+    """Non-increasing spectra (along the last axis) with roundoff, every
+    eigenvalue in [PSD_FLOOR, EIG_ZERO), mapped to exact zero, whichever
+    solver wrote it.
 
     Anything below PSD_FLOOR is a PSD failure upstream and is
     rejected here rather than silently fixed; the message names the first
@@ -32,7 +33,7 @@ def _clamp(eigs: np.ndarray) -> np.ndarray:
     bad = low < PSD_FLOOR
     if bad.any():
         raise InvalidState(f"eigenvalue {low.flat[np.argmax(bad)]:.3e} below the PSD clamp floor")
-    return np.where(eigs < 0, 0.0, eigs)
+    return np.where(eigs < EIG_ZERO, 0.0, eigs)
 
 
 def _per_spectrum(x):
@@ -49,12 +50,14 @@ def _per_spectrum(x):
 
 
 def spectrum_entropy(eigs: np.ndarray) -> float | np.ndarray:
-    """-sum(lambda log2 lambda) over a spectrum, with 0 log 0 = 0."""
+    """-sum(lambda log2 lambda) over a spectrum, with 0 log 0 = 0; exactly 0
+    where its magnitude is below ENTROPY_FLOOR."""
     eigs = _clamp(eigs)
     pos = eigs > 0
     # summing only the positive terms keeps the rounding of a sum over them
     terms = eigs * np.log2(np.where(pos, eigs, 1.0))
-    return _per_spectrum(-np.sum(terms, axis=-1, where=pos))
+    s = -np.sum(terms, axis=-1, where=pos)
+    return _per_spectrum(np.where(np.abs(s) < ENTROPY_FLOOR, 0.0, s))
 
 
 def spectrum_power(eigs: np.ndarray, alpha: float) -> float | np.ndarray:

@@ -2,16 +2,11 @@
 dimensions, on one matrix or on a stack (..., n, n) of them.
 
 Every absolute-class verdict depends only on a spectrum, so the module
-computes eigenvalues and never eigenvectors.  The eigensolver is a cyclic
-Jacobi iteration with complex plane rotations: for the <= 64x64 Hermitian
-matrices handled here robustness and determinism matter more than speed.
-A stack converges together: between sweeps one vectorized convergence test
-runs over the whole stack, and only the members that fail it are swept
-again.  Two or more such members sweep in lockstep, one stacked rotation per
-(p, q) for those whose a_pq is above their skip level; the stacked rotation
-is the scalar one bit for bit, so a member's eigenvalues still do not depend
-on its stack.  A 4x4 X-matrix, zero off its diagonal and anti-diagonal, has
-its spectrum in closed form instead (eigvals_x_hermitian).
+computes eigenvalues and never eigenvectors, through the one entry point
+eigvals_hermitian.  It picks the algorithm member by member: a 4x4 X-matrix
+has its spectrum in closed form, any other member goes to a cyclic Jacobi
+iteration with complex plane rotations (for the <= 64x64 matrices handled
+here robustness and determinism matter more than speed).
 """
 
 from __future__ import annotations
@@ -142,29 +137,16 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
-def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, or of every member of a stack
-    (..., n, n) of them, sorted non-increasing along the last axis.
-
-    Cyclic Jacobi sweeps run on each member until its off-diagonal
-    Frobenius norm falls below the configured threshold.  The whole stack
-    converges together: before each sweep one vectorized test over the
-    stack picks the members still above their threshold, and the sweep
-    runs on those only.  When two or more members are rotating they sweep
-    in lockstep: at each (p, q) of the cyclic order one vectorized skip test
-    picks the members whose |a_pq| is above their skip level, and one
-    stacked rotation updates all of them; a lone rotating member is swept
-    by the scalar rotation.  A converged member is not rotated again, and
-    one that starts diagonal is never swept.  Each member keeps its own
-    threshold, convergence test and sequence of rotations, and the stacked
-    rotation is the scalar one bit for bit, so the result is deterministic
-    for a given input and a member's eigenvalues do not depend on the stack
-    around it.  Raises NotHermitian when some member has max |M - M^dagger|
-    above the Hermiticity tolerance or a non-finite entry.
-    """
-    m = np.asarray(m, dtype=complex)
-    n = _require_square(m)
-    _check_hermitian(m)
+def _eigvals_jacobi(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every member of a Hermitian stack (..., n, n), unsorted,
+    by cyclic Jacobi sweeps until each member's off-diagonal Frobenius norm
+    falls below its threshold.  Before each sweep one vectorized test picks
+    the members still above it; two or more such members sweep in lockstep,
+    one stacked rotation per (p, q) for those whose |a_pq| is above their
+    skip level, and a lone one is swept by the scalar rotation.  The stacked
+    rotation is the scalar one bit for bit, so a member's eigenvalues do not
+    depend on its stack."""
+    n = m.shape[-1]
     a = m.reshape(-1, n, n)
     a = (a + np.swapaxes(a.conj(), 1, 2)) / 2.0
     target = JACOBI_OFFDIAG_TOL * np.maximum(1.0, _frobenius(a))
@@ -174,7 +156,6 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
     pairs = list(itertools.combinations(range(n), 2))  # the cyclic order
     off_diagonal = 1.0 - np.eye(n)
     for _ in range(_MAX_SWEEPS):
-        # a NaN norm never converges, so such a member ends in the error below
         converged = (_frobenius(a * off_diagonal) <= target).tolist()
         rotating = [i for i, done in enumerate(converged) if not done]
         if not rotating:
@@ -192,46 +173,51 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
             a[rotating] = swept
     else:  # cyclic Jacobi converges long before this
         raise NotConverged("Jacobi iteration failed to converge")
-    eigs = np.diagonal(a, axis1=1, axis2=2).real
-    return np.sort(eigs.reshape(m.shape[:-1]), axis=-1)[..., ::-1]
+    return np.diagonal(a, axis1=1, axis2=2).real.reshape(m.shape[:-1])
+
+
+def _eigvals_x(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every member of a Hermitian stack (..., 4, 4) of
+    X-matrices, unsorted: the direct sum of the blocks on {0, 3} and {1, 2},
+    where [[a, b], [b*, d]] has (a + d)/2 +- hypot((a - d)/2, |b|) (Yu and
+    Eberly, Quantum Inf. Comput. 7, 459, 2007).  Only the real diagonal and
+    the upper anti-diagonal are read."""
+    diag = np.diagonal(m, axis1=-2, axis2=-1).real
+    top, bottom = diag[..., [0, 1]], diag[..., [3, 2]]  # blocks {0, 3} and {1, 2}
+    coherence = m[..., [0, 1], [3, 2]]
+    mean = (top + bottom) / 2.0
+    radius = np.hypot((top - bottom) / 2.0, np.hypot(coherence.real, coherence.imag))
+    return np.concatenate([mean + radius, mean - radius], axis=-1)
 
 
 # the entries of a 4x4 matrix off its diagonal and anti-diagonal
 _OFF_X = (np.add.outer(np.arange(4), np.arange(4)) != 3) & ~np.eye(4, dtype=bool)
 
 
-def eigvals_x_hermitian(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian 4x4 X-matrix (zero off the diagonal and the
-    anti-diagonal), or of every member of a stack (..., 4, 4) of them,
-    sorted non-increasing along the last axis, in closed form.
+def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, or of every member of a stack
+    (..., n, n) of them, sorted non-increasing along the last axis.
 
-    Such a matrix is the direct sum of its blocks on {0, 3} and {1, 2}, and
-    a block [[a, b], [b*, d]] has eigenvalues (a + d)/2 +- hypot((a - d)/2,
-    |b|).  The input is taken Hermitian, as DensityMatrix.validate checks it:
-    the real diagonal and the upper anti-diagonal are read, nothing else.
-    Each member's eigenvalues are elementwise in its entries, so they do not
-    depend on the stack around it.  Raises DimensionMismatch for a shape
-    that is not (..., 4, 4), or naming the first member with an entry off
-    the X that is not zero.
+    A 4x4 member zero off its diagonal and anti-diagonal (an X-matrix) is
+    solved in closed form, any other member by Jacobi sweeps; either way a
+    member gets the bits it would get alone, whatever its stack.  Raises
+    NotHermitian when some member has max |M - M^dagger| above the
+    Hermiticity tolerance or a non-finite entry.
     """
     m = np.asarray(m, dtype=complex)
-    if _require_square(m) != 4:
-        raise DimensionMismatch(f"expected 4x4 X-matrices, got shape {m.shape}")
-    off = (m[..., _OFF_X] != 0).reshape(-1, 8)  # a NaN entry off the X is refused too
-    if off.any():
-        first = int(np.argmax(off.any(axis=1)))
-        p, q = np.argwhere(_OFF_X)[np.argmax(off[first])]
-        raise DimensionMismatch(
-            f"member {first} is not an X-matrix: entry ({p}, {q}) = "
-            f"{complex(m.reshape(-1, 4, 4)[first, p, q]):.3e} is off the X and not zero"
-        )
-    diag = np.diagonal(m, axis1=-2, axis2=-1).real
-    top, bottom = diag[..., [0, 1]], diag[..., [3, 2]]  # blocks {0, 3} and {1, 2}
-    coherence = m[..., [0, 1], [3, 2]]
-    mean = (top + bottom) / 2.0
-    radius = np.hypot((top - bottom) / 2.0, np.hypot(coherence.real, coherence.imag))
-    eigs = np.concatenate([mean + radius, mean - radius], axis=-1)
+    n = _require_square(m)
+    _check_hermitian(m)
+    x = ~(m[..., _OFF_X] != 0).any(axis=-1) if n == 4 else np.False_
+    if np.all(x):
+        eigs = _eigvals_x(m)
+    elif not np.any(x):
+        eigs = _eigvals_jacobi(m)
+    else:
+        eigs = np.empty(m.shape[:-1])
+        eigs[x] = _eigvals_x(m[x])
+        eigs[~x] = _eigvals_jacobi(m[~x])
     return np.sort(eigs, axis=-1)[..., ::-1]
+
 
 
 def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> np.ndarray:

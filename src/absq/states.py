@@ -201,7 +201,7 @@ def _check_isotropic(d: int, beta: float) -> None:
     """d >= 2 and beta in the admissible range [-1/(d^2 - 1), 1]."""
     if not (d >= 2):
         raise OutOfRange(f"d={d} must be >= 2")
-    lo = -1.0 / (d * d - 1)
+    lo = -1 / (d * d - 1)  # int division: exact where d * d is beyond a float
     if not (lo - BETA_SLACK <= beta <= 1 + BETA_SLACK):
         raise OutOfRange(f"beta={beta} outside [{lo}, 1]")
 
@@ -243,7 +243,8 @@ def acin_tripartite(x, theta: float) -> DensityMatrix:
         raise DimensionMismatch(f"expected 5 amplitudes, got shape {x.shape}")
     if not (0 <= theta <= math.pi):
         raise OutOfRange(f"theta={theta} outside [0, pi]")
-    norm2 = float(np.sum(x * x))
+    with np.errstate(over="ignore"):  # an overflowing square is refused below as inf
+        norm2 = float(np.sum(x * x))
     if abs(norm2 - 1.0) > TRACE_TOL:  # the trace of its projector
         raise NotNormalized(f"sum(x_i^2) = {norm2:.12g}, expected 1")
     vec = np.zeros(8, dtype=complex)

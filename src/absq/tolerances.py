@@ -8,8 +8,13 @@ validation threshold is never duplicated with a different value.
 HERMITICITY_TOL = 1e-10
 
 # Positive semidefiniteness: smallest eigenvalue a density matrix may have.
-# Entropy functionals treat eigenvalues in [PSD_FLOOR, 0) as exact zeros.
 PSD_FLOOR = -1e-9
+
+# Spectral functionals read eigenvalues in [PSD_FLOOR, EIG_ZERO) as exact
+# zeros (solver roundoff: 1e-17 ** 0.2 is 4e-4), and an entropy below
+# ENTROPY_FLOOR in magnitude as exactly 0.
+EIG_ZERO = 1e-14
+ENTROPY_FLOOR = 1e-12
 
 # Unit-trace check for density matrices, and for the squared norm of a ket.
 TRACE_TOL = 1e-10

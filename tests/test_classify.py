@@ -369,3 +369,43 @@ class TestAbsolutelySeparableSpectra:
         assume(l1 <= l3 + 2.0 * math.sqrt(l2 * l4))
         report = classification_report(DensityMatrix(np.diag([l1, l2, l3, l4]), (2, 2)))
         assert report.acvenn and report.afef
+
+
+def _renyi_bits(lam: np.ndarray, alpha: float) -> float:
+    """S_alpha of a spectrum in bits, straight from its definition, with
+    S_1 the von Neumann entropy and S_inf = -log2 lambda_max."""
+    if alpha == 1:
+        return float(-np.sum(lam * np.log2(lam)))
+    if alpha == math.inf:
+        return float(-np.log2(lam.max()))
+    return float(np.log2(np.sum(lam**alpha)) / (1.0 - alpha))
+
+
+class TestKnownInclusions:
+    # S_alpha does not increase with alpha, and AFEF, ACRE2NN, ACVENN and
+    # ACRENN(alpha) are S_inf, S_2, S_1 and S_alpha >= log2 d: so
+    # AFEF implies ACRENN(beta), which implies ACRENN(alpha) for alpha < beta,
+    # ACRE2NN is ACRENN(2), and ACRENN(alpha > 1) implies ACVENN, which implies
+    # ACRENN(alpha < 1); wherever no S_alpha sits on the threshold
+    ALPHAS = (0.3, 0.5, 0.9, 1.5, 2.0, 3.0, 10.0)
+
+    @settings(max_examples=150)
+    @given(data=st.data(), d=st.sampled_from([2, 3, 4]), k=st.floats(1.0, 8.0))
+    def test_verdicts_follow_the_renyi_order(self, data, d, k):
+        # sharpened by a drawn power k, so verdicts of both signs occur, and
+        # kept above EIG_ZERO, so the verdicts read the spectrum as drawn
+        n = d * d
+        lam = data.draw(_spectrum(d)) ** k
+        lam = (1.0 - 1e-6) * lam / lam.sum() + 1e-6 / n
+        orders = (*self.ALPHAS, 1, math.inf)
+        assume(all(abs(_renyi_bits(lam, a) - math.log2(d)) > 1e-9 for a in orders))
+        report = classification_report(DensityMatrix(np.diag(lam), (d, d)), self.ALPHAS)
+        chain = [report.afef] + [report.acrenn[a][0] for a in sorted(self.ALPHAS, reverse=True)]
+        for stronger, weaker in zip(chain, chain[1:]):
+            assert weaker or not stronger
+        assert report.acre2nn == report.acrenn[2.0][0]
+        for alpha in self.ALPHAS:
+            if alpha > 1:
+                assert report.acvenn or not report.acrenn[alpha][0]
+            else:
+                assert report.acrenn[alpha][0] or not report.acvenn

@@ -198,6 +198,8 @@ EXIT_STATUS = [
     # a state too big to address: refused before any allocation
     (["classify", "--state", "iso:d=1e9,beta=0.5"], 1, "error: d=1000000000: the 1000000000000000000 x"),
     (["classify", "--state", "iso:d=100000,beta=0.5"], 1, "error: d=100000: the 10000000000 x"),
+    # d * d beyond a float: no OverflowError on the way to that refusal
+    (["classify", "--state", "iso:d=1e308,beta=0"], 1, "error: d=1000000000000000010979"),
     (["table3", "--out", "MISSING"], 1, "io error: "),
 ]
 
@@ -208,7 +210,7 @@ EXIT_STATUS = [
     ids=[
         "state", "channel", "fraction", "repeated-key", "empty-alpha", "repeated-alpha",
         "marginal", "channel-on-ghzw", "phase-damping", "alpha-1", "p2", "beta", "iso-d-1e9",
-        "iso-d-100000", "unwritable",
+        "iso-d-100000", "iso-d-1e308", "unwritable",
     ],
 )
 def test_exit_status_from_error_class(argv, code, message, tmp_path, capsys):
@@ -292,11 +294,11 @@ class TestErrorHandling:
         assert err == message
 
     def test_solver_failure_one_line_error(self, monkeypatch, tmp_path, capsys):
-        # one sweep cannot diagonalize this dense 4x4 state: the CLI exits 1
+        # one sweep cannot diagonalize this dense 9x9 state: the CLI exits 1
         # with one line, and writes no CSV
         monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
         path = tmp_path / "report.csv"
-        code = main(["classify", "--state", "acin:lambda=0.9,theta=0.7", "--csv", str(path)])
+        code = main(["classify", "--state", "iso:d=3,beta=0.5", "--csv", str(path)])
         out, err = capsys.readouterr()
         assert code == 1
         assert out == ""
@@ -531,7 +533,7 @@ class TestTableRowHelpers:
         # solved before; criterion 2k is AC and 2k + 1 is AF on scan k
         calls, solved = [], []
         intervals = sweep.intervals
-        solve = cli.eigvals_x_hermitian
+        solve = cli.eigvals_hermitian
 
         def traced(f, *args, **kwargs):
             def witness(which, ps):
@@ -545,7 +547,7 @@ class TestTableRowHelpers:
             return solve(m)
 
         monkeypatch.setattr(sweep, "intervals", traced)
-        monkeypatch.setattr(cli, "eigvals_x_hermitian", counted)
+        monkeypatch.setattr(cli, "eigvals_hermitian", counted)
         table2_rows(points=7)
         # the grid, then each step of the brackets, 1/6 wide: 9 steps, at
         # most the ITP bound of one more than bisection would take
@@ -662,7 +664,7 @@ class TestTableRowHelpers:
 
             monkeypatch.setattr(module, name, counted)
 
-        for module, name in ((cli, "eigvals_x_hermitian"), (entropy, "eigvals_hermitian")):
-            counting(module, name)
+        for module in (cli, entropy):
+            counting(module, "eigvals_hermitian")
         rows()
         assert shapes == []

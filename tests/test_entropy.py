@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from absq.entropy import (
+    _clamp,
     conditional_renyi,
     conditional_von_neumann,
     renyi,
     series_estimate,
     series_estimate_flat,
+    spectrum_entropy,
     spectrum_series_flat,
     trace_power,
     von_neumann,
 )
-from absq.errors import AlphaOutOfDomain, OutOfRange
+from absq.errors import AlphaOutOfDomain, InvalidState, OutOfRange
 from absq.linalg import eigvals_hermitian, haar_unitary
 from absq.states import (
     DensityMatrix,
@@ -25,6 +27,9 @@ from absq.states import (
     pure_schmidt,
     random_density,
 )
+from absq.tolerances import EIG_ZERO, ENTROPY_FLOOR, PSD_FLOOR
+
+from conftest import bits
 
 
 def _bracket_series(eigs: np.ndarray, terms: int) -> np.ndarray:
@@ -77,6 +82,45 @@ class TestVonNeumann:
             u = haar_unitary(4, seed)
             rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, (2, 2))
             assert von_neumann(rotated) == pytest.approx(s0, abs=1e-9)
+
+
+def _pure_states():
+    for theta in (0.3, math.pi / 4, 1.1):
+        yield pure_schmidt(theta)
+    for index in range(4):
+        yield bell_state(index)
+    for d in (2, 3, 4):
+        for seed in range(3):
+            ket = haar_unitary(d * d, seed)[:, 0]
+            yield DensityMatrix(np.outer(ket, ket.conj()), (d, d))
+
+
+class TestRoundoffZeros:
+    # a solver's roundoff on a zero eigenvalue, about 1e-17, is 4e-4 when
+    # raised to the power 0.2; _clamp maps it to an exact zero
+    @pytest.mark.parametrize("alpha", [0.2, 0.5])
+    def test_trace_power_of_pure_states_is_one(self, alpha):
+        for rho in _pure_states():
+            assert abs(trace_power(rho, alpha) - 1.0) <= 8 * np.finfo(float).eps
+
+    def test_entropy_of_pure_states_is_zero(self):
+        for rho in _pure_states():
+            assert bits(von_neumann(rho)) == bits(0.0)  # not -0.0
+
+    def test_clamp_maps_roundoff_to_zero_and_refuses_below_the_floor(self):
+        eigs = np.array([[1.0, EIG_ZERO, 0.99 * EIG_ZERO, PSD_FLOOR], [1.0, 0.0, -0.0, 0.0]])
+        assert bits(_clamp(eigs)) == bits(np.array([[1.0, EIG_ZERO, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+        with pytest.raises(InvalidState, match="below the PSD clamp floor"):
+            _clamp(np.array([1.0, 1.01 * PSD_FLOOR]))
+
+    def test_entropy_below_the_floor_is_zero(self):
+        # -x log2 x of one small eigenvalue beside 1 - x, around the floor
+        xs = np.array([1e-16, 1e-15, 1e-13])
+        eigs = np.stack([1.0 - xs, xs], axis=-1)
+        s = spectrum_entropy(eigs)
+        exact = -(eigs * np.log2(eigs)).sum(axis=-1)
+        assert np.array_equal(s == 0.0, exact < ENTROPY_FLOOR)
+        assert s[-1] == exact[-1] > ENTROPY_FLOOR
 
 
 class TestConditionalVonNeumann:

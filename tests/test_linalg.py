@@ -8,7 +8,7 @@ import pytest
 from absq.entropy import trace_power
 from absq.errors import DimensionMismatch, NotHermitian
 from absq import linalg
-from absq.linalg import _OFF_X, eigvals_hermitian, eigvals_x_hermitian, haar_unitary, partial_trace
+from absq.linalg import _OFF_X, eigvals_hermitian, haar_unitary, partial_trace
 from absq.channels import double_apply_stack, transfer_stack
 from absq.states import (
     DensityMatrix,
@@ -182,38 +182,63 @@ def _x_member(rng) -> np.ndarray:
 
 
 class TestEigvalsX:
+    # eigvals_hermitian takes the closed form for a 4x4 member with nothing
+    # off the X and the Jacobi sweeps for every other member
     @settings(max_examples=60)
     @given(count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
     def test_matches_the_solvers_per_member(self, count, seed):
         rng = np.random.default_rng(seed)
         stack = np.stack([_x_member(rng) for _ in range(count)])
-        w = eigvals_x_hermitian(stack)
+        w = eigvals_hermitian(stack)
         assert w.shape == (count, 4)
         assert np.all(np.diff(w, axis=-1) <= 0)
+        assert bits(w) == bits(np.sort(linalg._eigvals_x(stack))[:, ::-1])
         # in units of eps max(1, ||M||_F), against a 40-digit reference over
         # 18,000 such members, the closed form erred by up to 0.9, the
         # Jacobi solver by 2.3 and LAPACK's zheevd by 4.7
         scale = np.finfo(float).eps * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
-        assert np.all(np.abs(w - eigvals_hermitian(stack)).max(axis=1) <= 4 * scale)
+        assert np.all(np.abs(w - np.sort(linalg._eigvals_jacobi(stack))[:, ::-1]).max(axis=1) <= 4 * scale)
         assert np.all(np.abs(w - np.linalg.eigvalsh(stack)[:, ::-1]).max(axis=1) <= 8 * scale)
         for member, eigs in zip(stack, w):
-            assert bits(eigvals_x_hermitian(member)) == bits(eigs)
+            assert bits(eigvals_hermitian(member)) == bits(eigs)
 
     @pytest.mark.parametrize("entry", [tuple(int(i) for i in pq) for pq in np.argwhere(_OFF_X)])
     @pytest.mark.parametrize("value", [1e-300, -2.5, 1j, math.nan])
     def test_refuses_an_entry_off_the_x(self, entry, value):
-        stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        # the closed form refuses a member with an entry (and its mirror)
+        # off the X: that member alone goes to Jacobi, with the bits it has
+        # alone, and the X members beside it keep the closed form; a NaN is
+        # refused by the Hermiticity check
+        stack = np.stack([np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)] * 3)
+        stack[1, [0, 1], [3, 2]] = [0.05j, -0.1]
+        stack[1, [3, 2], [0, 1]] = np.conj(stack[1, [0, 1], [3, 2]])
         stack[2][entry] = value
-        with pytest.raises(DimensionMismatch) as caught:
-            eigvals_x_hermitian(stack)
-        message = str(caught.value)
-        assert "\n" not in message
-        assert message.startswith(f"member 2 is not an X-matrix: entry {entry} = ")
+        stack[2][entry[::-1]] = np.conj(value)
+        if value != value:  # NaN
+            with pytest.raises(NotHermitian, match="= nan exceeds"):
+                eigvals_hermitian(stack)
+            return
+        w = eigvals_hermitian(stack)
+        assert bits(w[2]) == bits(np.sort(linalg._eigvals_jacobi(stack[2]))[::-1])
+        assert bits(w[2]) == bits(eigvals_hermitian(stack[2]))
+        assert bits(w[:2]) == bits(np.sort(linalg._eigvals_x(stack[:2]))[:, ::-1])
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 5, 5), (4, 3), (4,), (2, 2)])
-    def test_refuses_a_shape_other_than_4x4(self, shape):
+    def test_refuses_a_shape_other_than_4x4(self, shape, monkeypatch):
+        # the closed form never sees a shape other than (..., 4, 4): a square
+        # one goes to Jacobi, any other is refused in one line
+        def refuse(m):
+            raise AssertionError(f"closed form called on {m.shape}")
+
+        monkeypatch.setattr(linalg, "_eigvals_x", refuse)
+        m = np.zeros(shape, dtype=complex)
+        if len(shape) > 1 and shape[-1] == shape[-2]:
+            n = shape[-1]
+            m[..., range(n), range(n)] = np.arange(n, 0, -1)
+            assert bits(eigvals_hermitian(m)) == bits(np.sort(linalg._eigvals_jacobi(m))[..., ::-1])
+            return
         with pytest.raises(DimensionMismatch) as caught:
-            eigvals_x_hermitian(np.zeros(shape))
+            eigvals_hermitian(m)
         assert "\n" not in str(caught.value)
 
 

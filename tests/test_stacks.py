@@ -46,7 +46,7 @@ def _hermitian_member(n: int, rng) -> np.ndarray:
     """A dense, rank-deficient, exactly diagonal or X-type Hermitian matrix:
     the diagonal ones have converged before the first sweep, and the X-type
     ones (diagonal plus anti-diagonal) after one rotation per anti-diagonal
-    pair."""
+    pair; at n = 4 both have their spectrum in closed form instead."""
     kind = rng.integers(0, 4)
     if kind == 0:
         return random_hermitian(n, rng)
@@ -159,18 +159,19 @@ def test_stacked_step_equals_scalar_rotation(n, kinds, seed):
 
 
 def test_members_converging_at_different_sweeps():
-    # a diagonal member is never swept, an X-type one converges after one
-    # sweep, a rank-deficient one after two, and the dense ones go on
-    # together until the last of them sweeps alone; each member comes out
-    # as when it is solved alone
+    # a diagonal member is an X-matrix and never swept, one with two
+    # disjoint off-diagonal pairs off the X converges after one sweep, a
+    # rank-deficient one after two, and the dense ones go on together until
+    # the last of them sweeps alone; each member comes out as when it is
+    # solved alone
     rng = np.random.default_rng(2)
     dense = [random_hermitian(4, rng) for _ in range(3)]
-    x_type = np.diag([0.3, -1.2, 0.8, 2.0]).astype(complex)
-    x_type[[0, 1], [3, 2]] = [0.5 + 0.2j, -0.3j]
-    x_type[[3, 2], [0, 1]] = np.conj(x_type[[0, 1], [3, 2]])
+    two_pairs = np.diag([0.3, -1.2, 0.8, 2.0]).astype(complex)
+    two_pairs[[0, 2], [1, 3]] = [0.5 + 0.2j, -0.3j]
+    two_pairs[[1, 3], [0, 2]] = np.conj(two_pairs[[0, 2], [1, 3]])
     u = haar_unitary(4, 5)
     rank_two = u @ np.diag([1.0, 1.0, 0.0, 0.0]) @ u.conj().T
-    stack = np.array([np.diag([1.0, 3.0, 2.0, 0.0]), x_type, rank_two, *dense])
+    stack = np.array([np.diag([1.0, 3.0, 2.0, 0.0]), two_pairs, rank_two, *dense])
     sizes, lone = [], []
     step, rotate = linalg._jacobi_step, linalg._jacobi_rotate
 
@@ -186,7 +187,7 @@ def test_members_converging_at_different_sweeps():
         linalg, "_jacobi_rotate", recorded_rotate
     ):
         eigs = eigvals_hermitian(stack)
-    assert sizes[0] == len(stack) - 1  # all but the diagonal member
+    assert sizes[0] == len(stack) - 1  # all but the diagonal member, solved in closed form
     assert sorted(set(sizes)) == [3, 4, 5]
     assert lone  # the last dense member's final sweep
     for m, e in zip(stack, eigs):

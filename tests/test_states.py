@@ -1,4 +1,5 @@
 import math
+import warnings
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -207,6 +208,12 @@ def test_acin_tripartite_reduced_matches_formula(rng):
 def test_acin_tripartite_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         acin_tripartite([1, 1, 0, 0, 0], 0.0)
+    # an amplitude whose square overflows is refused as such, without
+    # numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotNormalized, match=r"= inf, expected 1"):
+            acin_tripartite([0.7854, 3, 9, 9, 1e308], 0.0)
 
 
 def test_ghz_w_endpoints():
