@@ -12,7 +12,6 @@ from .classify import (
     is_acrenn,
     is_acvenn,
     is_afef,
-    majorizes,
     marginal_acre2nn,
 )
 from .entropy import (
@@ -25,7 +24,7 @@ from .entropy import (
     von_neumann,
 )
 from .errors import AbsqError
-from .linalg import eigvals_hermitian, haar_unitary, partial_trace
+from .linalg import eigvals_hermitian, partial_trace
 from .states import (
     DensityMatrix,
     acin_tripartite,

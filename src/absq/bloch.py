@@ -31,7 +31,7 @@ class BlochTripartite:
     """One-, two- and three-body correlation tensors of a d x d x d state.
 
     All entries are raw operator traces; the dimension-dependent prefactors
-    live in the reconstruction formula.
+    live in the formulas that read them, such as marginal_purity.
     """
 
     d: int
@@ -66,7 +66,9 @@ def gell_mann_basis(d: int) -> np.ndarray:
 
 
 def _augmented(d: int) -> np.ndarray:
-    """F = [I, s_1, ..., s_{d^2-1}] as one (d^2, d, d) array."""
+    """F = [I, s_1, ..., s_{d^2-1}] as one (d^2, d, d) array: each
+    decomposition is one einsum of rho against copies of F, read off in
+    slices."""
     return np.concatenate([np.eye(d, dtype=complex)[None], gell_mann_basis(d)])
 
 
@@ -82,19 +84,10 @@ def decompose_bipartite(rho: DensityMatrix) -> BlochBipartite:
     return BlochBipartite(d, (d / 2.0) * c[1:, 0], (d / 2.0) * c[0, 1:], (d * d / 4.0) * c[1:, 1:])
 
 
-def reconstruct_bipartite(bb: BlochBipartite) -> np.ndarray:
-    """(I x I + sum a_m s_m x I + sum b_n I x s_n + sum t_mn s_m x s_n) / d^2."""
-    d = bb.d
-    c = np.empty((d * d, d * d))
-    c[0, 0], c[1:, 0], c[0, 1:], c[1:, 1:] = 1.0, bb.a, bb.b, bb.t
-    full = _augmented(d)
-    m = np.einsum("mn,mac,nbd->abcd", c / (d * d), full, full, optimize=True)
-    return m.reshape(d * d, d * d)
-
-
 def _norm2(x: np.ndarray) -> float:
     """Squared norm sum(x * x) of a Bloch vector or correlation tensor; the
-    same float for a strided view as for its contiguous copy."""
+    same float for a strided view as for its contiguous copy (np.dot is not).
+    Every Bloch purity formula and criterion takes its norms here."""
     return float(np.sum(x * x))
 
 
@@ -118,19 +111,6 @@ def decompose_tripartite(rho: DensityMatrix) -> BlochTripartite:
     return BlochTripartite(
         d, c[1:, 0, 0], c[0, 1:, 0], c[0, 0, 1:], c[1:, 1:, 0], c[1:, 0, 1:], c[0, 1:, 1:], c[1:, 1:, 1:]
     )
-
-
-def reconstruct_tripartite(bt: BlochTripartite) -> np.ndarray:
-    """I/d^3 + (1/(2d^2)) sum t_i s_i x I x I + ... + (1/8) sum t_ijk s_i x s_j x s_k."""
-    d = bt.d
-    c = np.empty((d * d,) * 3)
-    c[0, 0, 0] = 1.0 / d**3
-    c[1:, 0, 0], c[0, 1:, 0], c[0, 0, 1:] = (t / (2 * d * d) for t in (bt.t1, bt.t2, bt.t3))
-    c[1:, 1:, 0], c[1:, 0, 1:], c[0, 1:, 1:] = (t / (4 * d) for t in (bt.t12, bt.t13, bt.t23))
-    c[1:, 1:, 1:] = bt.t123 / 8.0
-    full = _augmented(d)
-    m = np.einsum("ijk,iad,jbe,kcf->abcdef", c, full, full, full, optimize=True)
-    return m.reshape(d**3, d**3)
 
 
 MARGINAL_PAIRS = ("23", "13", "12")

@@ -10,7 +10,8 @@ S[a, a', c, c'] = sum_k K_k[a, c] conj(K_k[a', c']), computed once, so that
 d^2 x d^2 matrix it is sum_k K_k (x) conj(K_k) acting on row-major vec(rho).
 transfer_stack builds the tensors of one channel over a whole vector of
 parameters at once, and double_apply_stack applies them to stacks of states;
-make_channel and double_apply are their cases of one.
+make_channel and double_apply are their cases of one.  A channel on one side
+only is the same channel at p = 0 on the other.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ import numpy as np
 
 from .bloch import BlochBipartite, BlochTripartite, _norm2, pair_tensors
 from .entropy import _per_spectrum, check_alpha, spectrum_entropy, spectrum_power, spectrum_renyi
-from .errors import DimensionMismatch, SumMismatch
 from .linalg import eigvals_hermitian
 from .states import DensityMatrix, _local_dim
-from .tolerances import CLASS_MARGIN, MAJORIZATION_PREFIX_TOL, MAJORIZATION_SUM_TOL
+from .tolerances import CLASS_MARGIN
 
 
 def _verdict(witness, sense: str, bound):
@@ -98,21 +97,6 @@ def marginal_acre2nn(bt: BlochTripartite, pair: str) -> tuple[bool, float]:
     d = bt.d
     bound = (4.0 * (d - 1) - 2.0 * (_norm2(tx) + _norm2(ty)) * d) / (d * d)
     return _verdict(_norm2(txy), "<=", bound)
-
-
-def majorizes(r, s) -> bool:
-    """True when r majorizes s: equal totals and every prefix sum of the
-    non-increasing rearrangement of r dominates that of s."""
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if r.shape != s.shape or r.ndim != 1:
-        raise DimensionMismatch(f"vectors must share one shape, got {r.shape} and {s.shape}")
-    if abs(float(np.sum(r) - np.sum(s))) > MAJORIZATION_SUM_TOL:
-        raise SumMismatch(f"totals differ: {np.sum(r):.12g} vs {np.sum(s):.12g}")
-    rd = np.sort(r)[::-1]
-    sd = np.sort(s)[::-1]
-    prefix = np.cumsum(rd) - np.cumsum(sd)
-    return bool(np.all(prefix >= -MAJORIZATION_PREFIX_TOL))
 
 
 @dataclass

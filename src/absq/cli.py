@@ -145,6 +145,7 @@ def apply_channel(spec: str, rho: states.DensityMatrix) -> states.DensityMatrix:
             raise SpecError(f"{name} got unknown parameters {sorted(params)}")
     else:
         p1, p2 = _take(params, name, "p1", "p2")
+    # checked here as well as in double_apply, so that it is a usage error
     if rho.dims != (2, 2):
         raise SpecError(f"channel {name} needs a two-qubit state, got dims {rho.dims}")
     return channels.double_apply(
@@ -231,6 +232,10 @@ def table2_rows(points: int = 2001):
     values and deltas.  The depolarizing row is also reported under the
     single-sided reading since its reference cell does not state one.
 
+    The ten criteria (AC and AF on five (channel, sides) scans) go to one
+    sweep.intervals call.  Every state of the table is an X-matrix, so
+    eigvals_hermitian reads its spectrum in closed form.
+
     It reaches into channels for _kraus_stack and _transfer: it
     pads the Kraus sets of several channels to four operators and makes
     one _transfer call on all of them per witness call, a stack that no
@@ -306,8 +311,9 @@ def _isotropic_boundaries(beta: float, dims, functional, what: str) -> list[floa
     side by sweep._bisection to within BISECTION_TOL.  Each d's spectrum is
     the closed form states.isotropic_spectrum, so nothing is diagonalized,
     and each witness call (the 2k ends, then one per step) runs functional
-    once on the depolarized spectra as the rows of a zero-padded stack.  A d
-    without a crossing raises, naming d and what."""
+    once on the depolarized spectra as the rows of a zero-padded stack (the
+    spectral functionals sum positive terms only, so the padding drops out
+    bit for bit).  A d without a crossing raises, naming d and what."""
     eigs = [states.isotropic_spectrum(d, beta) for d in dims]
 
     def witness(keys, lams):

@@ -22,7 +22,8 @@ from .tolerances import EIG_ZERO, ENTROPY_FLOOR, PSD_FLOOR
 def _clamp(eigs: np.ndarray) -> np.ndarray:
     """Non-increasing spectra (along the last axis) with roundoff, every
     eigenvalue in [PSD_FLOOR, EIG_ZERO), mapped to exact zero, whichever
-    solver wrote it.
+    solver wrote it.  Every spectral functional clamps here, so roundoff
+    never reaches an output: a pure state's Tr rho^0.2 is 1, its entropy 0.
 
     Anything below PSD_FLOOR is a PSD failure upstream and is
     rejected here rather than silently fixed; the message names the first

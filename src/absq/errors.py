@@ -46,9 +46,5 @@ class AlphaOutOfDomain(AbsqError):
     """Renyi order outside (0, 1) | (1, inf)."""
 
 
-class SumMismatch(AbsqError):
-    """Vectors compared under majorization have different totals."""
-
-
 class NoSignChange(AbsqError):
     """Bisection bracket does not straddle the target."""

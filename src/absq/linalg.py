@@ -4,9 +4,10 @@ dimensions, on one matrix or on a stack (..., n, n) of them.
 Every absolute-class verdict depends only on a spectrum, so the module
 computes eigenvalues and never eigenvectors, through the one entry point
 eigvals_hermitian.  It picks the algorithm member by member: a 4x4 X-matrix
-has its spectrum in closed form, any other member goes to a cyclic Jacobi
-iteration with complex plane rotations (for the <= 64x64 matrices handled
-here robustness and determinism matter more than speed).
+(every state table2 and swap-scan build is one) has its spectrum in closed
+form, any other member goes to a cyclic Jacobi iteration with complex plane
+rotations (for the <= 64x64 matrices handled here robustness and
+determinism matter more than speed).
 """
 
 from __future__ import annotations
@@ -141,9 +142,10 @@ def _eigvals_jacobi(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of every member of a Hermitian stack (..., n, n), unsorted,
     by cyclic Jacobi sweeps until each member's off-diagonal Frobenius norm
     falls below its threshold.  Before each sweep one vectorized test picks
-    the members still above it; two or more such members sweep in lockstep,
-    one stacked rotation per (p, q) for those whose |a_pq| is above their
-    skip level, and a lone one is swept by the scalar rotation.  The stacked
+    the members still above it, so a member that starts diagonal is never
+    swept; two or more such members sweep in lockstep, one stacked rotation
+    per (p, q) for those whose |a_pq| is above their skip level, and a lone
+    one is swept by the scalar rotation.  The stacked
     rotation is the scalar one bit for bit, so a member's eigenvalues do not
     depend on its stack."""
     n = m.shape[-1]
@@ -249,16 +251,3 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> np.
     d_keep = int(np.prod([dims[i] for i in keep]))
     return reduced.reshape(lead + (d_keep, d_keep))
 
-
-def haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian matrix with the
-    R diagonal phase-corrected.  Deterministic for a given seed; seed may
-    be an int or a numpy Generator (caller-owned state)."""
-    if dim < 1:
-        raise DimensionMismatch(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r).copy()
-    diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))

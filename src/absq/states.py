@@ -23,14 +23,6 @@ from .linalg import (
 from .tolerances import BETA_SLACK, HERMITICITY_TOL, PSD_FLOOR, TRACE_TOL
 
 
-def _factorizes(h: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """A quantum state: Hermitian, unit-trace, positive-semidefinite matrix
@@ -57,14 +49,17 @@ class DensityMatrix:
         density matrix: finite entries, Hermitian, unit trace, smallest
         eigenvalue at least PSD_FLOOR.
 
-        The checks run once over the whole stack.  A rejected stack raises
-        what validating its first rejected member alone raises: InvalidState
-        or NotHermitian, with that member's message.
+        The checks run once over the whole stack, a NaN or infinite entry
+        first, since it slips through every comparison.  Positivity is one
+        batched Cholesky factorization of (M + M^dagger)/2 - PSD_FLOOR I;
+        only when it fails does one eigvals_hermitian call give lambda_min
+        of the members not already rejected.  A rejected stack raises what
+        validating its first rejected member alone raises: InvalidState or
+        NotHermitian, with that member's message.
         """
         m = np.asarray(m, dtype=complex)
         n = _require_square(m)
         members = m.reshape(-1, n, n)
-        # NaN slips through every comparison below, so it is tested first
         finite = np.isfinite(members).all(axis=(1, 2))
         traces = np.trace(members, axis1=1, axis2=2)
         off = traces - 1.0
@@ -73,19 +68,16 @@ class DensityMatrix:
         failed = ~(finite & hermitian & (np.hypot(off.real, off.imag) <= TRACE_TOL))
         rejected = failed.any()
         # lambda_min >= PSD_FLOOR iff H - PSD_FLOOR I is positive definite
-        # (up to roundoff); only a failed factorization pays for a spectrum
+        # (up to roundoff)
         picked = members[~failed] if rejected else members
         shifted = (picked + np.swapaxes(picked.conj(), 1, 2)) / 2.0 - PSD_FLOOR * np.eye(n)
-        lowest = {}
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            refused = [i for i, h in zip(np.flatnonzero(~failed), shifted) if not _factorizes(h)]
-            for i, lo in zip(refused, eigvals_hermitian(members[refused])[:, -1]):
-                if lo < PSD_FLOOR:
-                    failed[i] = True
-                    lowest[i] = lo
-                    rejected = True
+            lowest = np.zeros(len(members))
+            lowest[~failed] = eigvals_hermitian(picked)[:, -1]
+            failed |= lowest < PSD_FLOOR
+            rejected = failed.any()
         if not rejected:
             return
         first = int(np.argmax(failed))
@@ -104,7 +96,8 @@ class DensityMatrix:
 
 
 def _local_dim(rho: DensityMatrix) -> int:
-    """d of a bipartite d x d state; any other dims raise DimensionMismatch."""
+    """d of a bipartite d x d state; any other dims raise DimensionMismatch.
+    The one check of equal bipartite dims."""
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise DimensionMismatch(f"expected equal bipartite dims, got {rho.dims}")
     return rho.dims[0]
@@ -210,12 +203,18 @@ def isotropic(d: int, beta: float) -> DensityMatrix:
     """Isotropic two-qudit state beta |psi+><psi+| + (1 - beta) I / d^2.
 
     Its spectrum is isotropic_spectrum(d, beta).  A d whose d^2 x d^2
-    matrix numpy cannot address raises MemoryError before any allocation.
+    matrix numpy cannot address raises MemoryError before any allocation,
+    with a one-line message.
     """
     _check_isotropic(d, beta)
     n = d * d
     if 16 * n * n > np.iinfo(np.intp).max:  # bytes of a complex n x n matrix
-        raise MemoryError(f"d={d}: the {n} x {n} matrix of the state is too big to allocate")
+        from decimal import Decimal  # only this error needs it
+
+        # past 19 digits as 1.00e+308: str() refuses an int of over 4,300
+        # digits, and format(k, ".3g") one beyond a float
+        d_text, n_text = (str(k) if k < 10**19 else format(Decimal(k), ".3g") for k in (d, n))
+        raise MemoryError(f"d={d_text}: the {n_text} x {n_text} matrix of the state is too big to allocate")
     m = beta * _projector(max_entangled(d)) + (1.0 - beta) * np.eye(n) / n
     return DensityMatrix(m, (d, d))
 
@@ -284,14 +283,4 @@ def bell_state(index: int) -> DensityMatrix:
         raise OutOfRange(f"Bell index must be 0..3, got {index}")
     vec = np.array(_BELL_VECTORS[index], dtype=complex) / math.sqrt(2)
     return DensityMatrix(_projector(vec), (2, 2))
-
-
-def random_density(dims, seed) -> DensityMatrix:
-    """Full-rank random state: G G^dagger / Tr(G G^dagger) with complex
-    Gaussian G.  Used by tests and sampling checks."""
-    rng = np.random.default_rng(seed)
-    n = int(np.prod(list(dims)))
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, tuple(dims))
 

@@ -140,7 +140,8 @@ def retrieval_grid(rho_ab: np.ndarray, rho_bc: np.ndarray) -> RetrievalGrid:
     before rho_bc's.  The conditional states are formed (_branches),
     validated and diagonalized a block of rows of the grid at a time, one
     call each per block of about _BLOCK_PAIRS pairs, so that memory beyond
-    the returned arrays does not grow with the grid.
+    the returned arrays does not grow with the grid.  An empty input stack
+    gives an empty grid.
     """
     ab = np.asarray(rho_ab, dtype=complex)
     bc = np.asarray(rho_bc, dtype=complex)

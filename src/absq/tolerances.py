@@ -1,7 +1,8 @@
 """Central tolerance table.
 
 Library code and the test suite both import these constants so that a
-validation threshold is never duplicated with a different value.
+validation threshold is never duplicated with a different value; a test
+fails on a float literal below 1e-3 anywhere else in the package.
 """
 
 # Hermiticity: max entrywise |M - M^dagger| accepted as Hermitian.
@@ -25,10 +26,6 @@ JACOBI_OFFDIAG_TOL = 1e-12
 # Guard band for inclusive class-membership comparisons (lambda_max <= 1/d
 # and friends); boundary states classify as members.
 CLASS_MARGIN = 1e-12
-
-# Majorization: the gap allowed between totals, and between prefix sums.
-MAJORIZATION_SUM_TOL = 1e-10
-MAJORIZATION_PREFIX_TOL = 1e-12
 
 # Slack on the admissible range [-1/(d^2 - 1), 1] of the isotropic weight.
 BETA_SLACK = 1e-12

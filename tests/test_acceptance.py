@@ -14,8 +14,6 @@ from absq.bloch import (
     decompose_tripartite,
     marginal_purity,
     purity_from_bloch,
-    reconstruct_bipartite,
-    reconstruct_tripartite,
 )
 from absq.channels import double_apply, double_apply_stack, global_depolarize, make_channel, transfer_stack
 from absq.classify import (
@@ -25,7 +23,6 @@ from absq.classify import (
     is_acrenn,
     is_acvenn,
     is_afef,
-    majorizes,
 )
 from absq.cli import TABLE2_REFERENCE, table2_rows, table3_rows, table4_rows
 from absq.entropy import (
@@ -38,7 +35,7 @@ from absq.entropy import (
     trace_power,
     von_neumann,
 )
-from absq.linalg import eigvals_hermitian, haar_unitary, partial_trace
+from absq.linalg import eigvals_hermitian, partial_trace
 from absq.states import (
     DensityMatrix,
     acin_tripartite,
@@ -47,12 +44,18 @@ from absq.states import (
     isotropic,
     max_entangled,
     pure_schmidt,
-    random_density,
 )
 from absq.swap import swap_conditionals
 from absq.sweep import find_boundary
 
-from conftest import bits
+from conftest import (
+    bits,
+    haar_unitary,
+    majorizes,
+    random_density,
+    reconstruct_bipartite,
+    reconstruct_tripartite,
+)
 
 
 def check(name: str, ok: bool, detail: str = ""):

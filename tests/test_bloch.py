@@ -13,8 +13,6 @@ from absq.bloch import (
     marginal_purity,
     pair_tensors,
     purity_from_bloch,
-    reconstruct_bipartite,
-    reconstruct_tripartite,
 )
 from absq.classify import acre2nn_bloch, marginal_acre2nn
 from absq.entropy import trace_power
@@ -28,10 +26,9 @@ from absq.states import (
     depolarized_schmidt,
     ghz_w_mix,
     isotropic,
-    random_density,
 )
 
-from conftest import bits
+from conftest import bits, random_density, reconstruct_bipartite, reconstruct_tripartite
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

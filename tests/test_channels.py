@@ -14,7 +14,9 @@ from absq.channels import (
 )
 from absq.errors import CompletenessViolation, DimensionMismatch, OutOfRange
 from absq.linalg import eigvals_hermitian
-from absq.states import DensityMatrix, isotropic, pure_schmidt, random_density
+from absq.states import DensityMatrix, isotropic, pure_schmidt
+
+from conftest import random_density
 
 
 def on_a(ch, rho):

@@ -14,12 +14,11 @@ from absq.classify import (
     is_acrenn,
     is_acvenn,
     is_afef,
-    majorizes,
     marginal_acre2nn,
 )
 from absq.entropy import renyi, spectrum_power, spectrum_renyi, trace_power
-from absq.errors import AlphaOutOfDomain, DimensionMismatch, SumMismatch
-from absq.linalg import eigvals_hermitian, haar_unitary
+from absq.errors import AlphaOutOfDomain, DimensionMismatch
+from absq.linalg import eigvals_hermitian
 from absq.states import (
     DensityMatrix,
     acin_tripartite,
@@ -27,11 +26,10 @@ from absq.states import (
     depolarized_schmidt,
     ghz_w_mix,
     pure_schmidt,
-    random_density,
 )
 from absq.tolerances import CLASS_MARGIN
 
-from conftest import bits
+from conftest import SumMismatch, bits, haar_unitary, majorizes, random_density
 
 
 def phase_damped_pi4(p):

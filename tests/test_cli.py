@@ -198,8 +198,9 @@ EXIT_STATUS = [
     # a state too big to address: refused before any allocation
     (["classify", "--state", "iso:d=1e9,beta=0.5"], 1, "error: d=1000000000: the 1000000000000000000 x"),
     (["classify", "--state", "iso:d=100000,beta=0.5"], 1, "error: d=100000: the 10000000000 x"),
-    # d * d beyond a float: no OverflowError on the way to that refusal
-    (["classify", "--state", "iso:d=1e308,beta=0"], 1, "error: d=1000000000000000010979"),
+    # d * d beyond a float: no OverflowError on the way to that refusal, and
+    # d and d^2 in three digits (test_iso_beyond_a_float_one_short_line)
+    (["classify", "--state", "iso:d=1e308,beta=0"], 1, "error: d=1.00e+308: the 1.00e+616 x"),
     (["table3", "--out", "MISSING"], 1, "io error: "),
 ]
 
@@ -222,6 +223,14 @@ def test_exit_status_from_error_class(argv, code, message, tmp_path, capsys):
     assert err.startswith(message)
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_iso_beyond_a_float_one_short_line(capsys):
+    assert main(["classify", "--state", "iso:d=1e308,beta=0"]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert len(err.rstrip("\n")) < 120
 
 
 class TestErrorHandling:

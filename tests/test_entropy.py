@@ -18,18 +18,17 @@ from absq.entropy import (
     von_neumann,
 )
 from absq.errors import AlphaOutOfDomain, InvalidState, OutOfRange
-from absq.linalg import eigvals_hermitian, haar_unitary
+from absq.linalg import eigvals_hermitian
 from absq.states import (
     DensityMatrix,
     bell_state,
     depolarized_schmidt,
     isotropic,
     pure_schmidt,
-    random_density,
 )
 from absq.tolerances import EIG_ZERO, ENTROPY_FLOOR, PSD_FLOOR
 
-from conftest import bits
+from conftest import bits, haar_unitary, random_density
 
 
 def _bracket_series(eigs: np.ndarray, terms: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from absq.entropy import trace_power
 from absq.errors import DimensionMismatch, NotHermitian
 from absq import linalg
-from absq.linalg import _OFF_X, eigvals_hermitian, haar_unitary, partial_trace
+from absq.linalg import _OFF_X, eigvals_hermitian, partial_trace
 from absq.channels import double_apply_stack, transfer_stack
 from absq.states import (
     DensityMatrix,
@@ -17,10 +17,9 @@ from absq.states import (
     ghz_w_mix,
     isotropic,
     pure_schmidt,
-    random_density,
 )
 
-from conftest import bits, random_hermitian
+from conftest import bits, haar_unitary, random_density, random_hermitian
 
 
 class TestEigHermitian:

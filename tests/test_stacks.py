@@ -25,13 +25,13 @@ from absq.classify import _acre2nn, _acrenn, _acvenn, _afef, is_acvenn
 from absq.entropy import spectrum_entropy, spectrum_power, spectrum_series_flat
 from absq.errors import AbsqError
 from absq import linalg
-from absq.linalg import eigvals_hermitian, haar_unitary
-from absq.states import _BELL_VECTORS, DensityMatrix, bell_state, random_density
+from absq.linalg import eigvals_hermitian
+from absq.states import _BELL_VECTORS, DensityMatrix, bell_state
 from absq import swap
 from absq.swap import _branches, retrieval_grid, retrieval_success, swap_conditionals
 from absq.tolerances import PROB_FLOOR, PSD_FLOOR
 
-from conftest import random_hermitian
+from conftest import haar_unitary, random_density, random_hermitian
 
 PROPERTY = settings(max_examples=20)
 SEEDS = st.integers(0, 2**32 - 1)

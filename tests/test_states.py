@@ -7,7 +7,7 @@ import pytest
 
 from absq.entropy import trace_power
 from absq.errors import DimensionMismatch, InvalidState, NotNormalized, OutOfRange
-from absq.linalg import eigvals_hermitian, haar_unitary, partial_trace
+from absq.linalg import eigvals_hermitian, partial_trace
 from absq.states import (
     DensityMatrix,
     acin_tripartite,
@@ -19,9 +19,10 @@ from absq.states import (
     isotropic,
     isotropic_spectrum,
     pure_schmidt,
-    random_density,
 )
 from absq.tolerances import PSD_FLOOR
+
+from conftest import haar_unitary, random_density
 
 
 def test_pure_schmidt_bell_point():
@@ -155,6 +156,14 @@ def test_isotropic_lambda_max_example():
     assert eigvals_hermitian(isotropic(3, 0.8).matrix)[0] == pytest.approx(
         0.822222, abs=1e-6
     )
+
+
+@pytest.mark.parametrize("d", [10**400, 10**5000], ids=["1e400", "1e5000"])
+def test_isotropic_beyond_a_float_raises_memory_error_in_one_line(d):
+    # d^2 beyond a float, and d beyond the 4,300 digits str() writes out
+    with pytest.raises(MemoryError, match=r"^d=1\.00e\+[0-9]+: the 1\.00e\+[0-9]+ x ") as caught:
+        isotropic(d, 0.0)
+    assert "\n" not in str(caught.value) and len(str(caught.value)) < 120
 
 
 def test_isotropic_range_check():
@@ -343,6 +352,20 @@ class TestPsdValidation:
 
     def test_accepts_singular_state(self):
         DensityMatrix(_with_smallest_eigenvalue(0.0), (2, 2))
+
+    def test_stack_member_exactly_at_the_floor(self):
+        # the shifted Cholesky of diag(1 + 1e-9, 0, -1e-9) meets a zero pivot,
+        # so the stack's factorization fails; its lambda_min is PSD_FLOOR
+        # itself and the member is accepted next to a valid one
+        at_floor = np.diag([1 + 1e-9, 0.0, -1e-9]).astype(complex)
+        below = np.diag([1 + 2e-9, 0.0, -2e-9]).astype(complex)
+        valid = np.eye(3, dtype=complex) / 3
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(at_floor - PSD_FLOOR * np.eye(3))
+        DensityMatrix.validate(np.stack([valid, at_floor]))
+        DensityMatrix.validate(np.stack([at_floor, valid]))
+        with pytest.raises(InvalidState, match=r"^negative eigenvalue -2\.000e-09 below PSD floor$"):
+            DensityMatrix.validate(np.stack([valid, at_floor, below]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):

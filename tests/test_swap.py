@@ -8,12 +8,12 @@ from absq.channels import double_apply, make_channel
 from absq.entropy import trace_power, von_neumann
 from absq.errors import DimensionMismatch, InvalidState
 from absq.linalg import partial_trace
-from absq.states import DensityMatrix, bell_state, depolarized_schmidt, pure_schmidt, random_density
+from absq.states import DensityMatrix, bell_state, depolarized_schmidt, pure_schmidt
 from absq import swap
 from absq.swap import OUTCOME_LABELS, retrieval_grid, retrieval_success, swap_conditionals
 from absq.sweep import format_number
 
-from conftest import bits
+from conftest import bits, random_density
 
 GOLDEN = Path(__file__).parent / "golden"
 
