@@ -139,12 +139,7 @@ def apply_channel(spec: str, rho: states.DensityMatrix) -> states.DensityMatrix:
             f"{sorted(_CHANNEL_ALIASES) + ['global-depolarizing']}"
         )
     base = _CHANNEL_ALIASES[name]
-    if "p" in params:
-        p1 = p2 = params.pop("p")
-        if params:
-            raise SpecError(f"{name} got unknown parameters {sorted(params)}")
-    else:
-        p1, p2 = _take(params, name, "p1", "p2")
+    p1, p2 = _take(params, name, "p") * 2 if "p" in params else _take(params, name, "p1", "p2")
     # checked here as well as in double_apply, so that it is a usage error
     if rho.dims != (2, 2):
         raise SpecError(f"channel {name} needs a two-qubit state, got dims {rho.dims}")

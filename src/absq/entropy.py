@@ -85,22 +85,18 @@ def spectrum_series_flat(eigs: np.ndarray, terms: int) -> float | np.ndarray:
     sum_k g(k)/k is linear in the power sums: R_{m+1} enters g(m) with
     weight (-1)^m and g(m+1) ... g(T) with weight (-1)^m k, so the total is
     sum_k 1/k + sum_i P(lambda_i) with P(x) = sum_m w_m x^{m+1} and
-    w_m = (-1)^m (1/m + T - m), m = 1 ... T.  P is evaluated by Horner's
-    rule, one array of the spectrum's shape whatever T is.  The sum over
-    the lambda_i, like the one in spectrum_entropy, runs over positive terms
-    only, so zero padding drops out."""
+    w_m = (-1)^m (1/m + T - m), m = 1 ... T.  np.polyval evaluates P by
+    Horner's rule, one array of the spectrum's shape whatever T is.  The sum
+    over the lambda_i, like the one in spectrum_entropy, runs over positive
+    terms only, so zero padding drops out."""
     if terms < 1:
         raise OutOfRange(f"terms must be >= 1, got {terms}")
     eigs = _clamp(eigs)
     m = np.arange(1, terms + 1)
     coefficients = np.zeros(terms + 2)  # of x^0 ... x^{T+1}
     coefficients[2:] = (-1.0) ** m * (1.0 / m + (terms - m))
-    poly = np.zeros_like(eigs)
-    for c in coefficients[::-1]:
-        poly *= eigs
-        poly += c
-    harmonic = np.sum(1.0 / m)
-    return _per_spectrum(harmonic + np.sum(poly, axis=-1, where=eigs > 0))
+    poly = np.polyval(coefficients[::-1], eigs)
+    return _per_spectrum(np.sum(1.0 / m) + np.sum(poly, axis=-1, where=eigs > 0))
 
 
 def von_neumann(rho: DensityMatrix) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import string
 
 import numpy as np
 
@@ -237,17 +236,11 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> np.
     if not keep or keep[0] < 0 or keep[-1] >= len(dims):
         raise DimensionMismatch(f"keep={keep} invalid for {len(dims)} subsystems")
     k = len(dims)
-    letters = string.ascii_lowercase
-    row = list(letters[:k])
-    col = list(letters[k : 2 * k])
-    for i in range(k):
-        if i not in keep:
-            col[i] = row[i]
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    # axis i is row label i and column label k + i, or i again when traced
+    cols = [k + i if i in keep else i for i in range(k)]
+    out = [..., *keep, *(k + i for i in keep)]
     lead = m.shape[:-2]
-    reduced = np.einsum(
-        f"...{''.join(row)}{''.join(col)}->...{out}", m.reshape(lead + tuple(dims + dims))
-    )
+    reduced = np.einsum(m.reshape(lead + tuple(dims + dims)), [..., *range(k), *cols], out)
     d_keep = int(np.prod([dims[i] for i in keep]))
     return reduced.reshape(lead + (d_keep, d_keep))
 

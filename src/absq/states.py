@@ -184,37 +184,41 @@ def acin_two_param(lam: float, theta: float) -> DensityMatrix:
 
 def max_entangled(d: int) -> np.ndarray:
     """Ket of the maximally entangled state sum_i |ii> / sqrt(d)."""
-    vec = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        vec[i * d + i] = 1.0
-    return vec / math.sqrt(d)
+    return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
 
 
-def _check_isotropic(d: int, beta: float) -> None:
-    """d >= 2 and beta in the admissible range [-1/(d^2 - 1), 1]."""
+def _check_isotropic(d: int, beta: float, *, matrix: bool) -> int:
+    """The one check of both isotropic factories, returning n = d^2: d >= 2,
+    beta in [-1/(d^2 - 1), 1], and what the factory allocates addressable by
+    numpy, the complex n x n matrix (16 n^2 bytes) or the n eigenvalues
+    (8 n bytes); a refused size is a one-line MemoryError, raised before any
+    allocation.  A refused d is written in full up to 19 digits, as 1.00e+308
+    beyond: str() refuses an int of over 4,300 digits, ".3g" one past a float."""
+
+    def shown(k) -> str:
+        from decimal import Decimal  # only the messages need it
+
+        return format(Decimal(k), ".3g") if abs(k) >= 10**19 else str(k)
+
     if not (d >= 2):
-        raise OutOfRange(f"d={d} must be >= 2")
-    lo = -1 / (d * d - 1)  # int division: exact where d * d is beyond a float
+        raise OutOfRange(f"d={shown(d)} must be >= 2")
+    n = d * d
+    lo = -1 / (n - 1)  # int division: exact where n is beyond a float
     if not (lo - BETA_SLACK <= beta <= 1 + BETA_SLACK):
         raise OutOfRange(f"beta={beta} outside [{lo}, 1]")
+    if (16 * n * n if matrix else 8 * n) > np.iinfo(np.intp).max:
+        what = f"{shown(n)} x {shown(n)} matrix of the state" if matrix else f"spectrum of {shown(n)} eigenvalues"
+        raise MemoryError(f"d={shown(d)}: the {what} is too big to allocate")
+    return n
 
 
 def isotropic(d: int, beta: float) -> DensityMatrix:
     """Isotropic two-qudit state beta |psi+><psi+| + (1 - beta) I / d^2.
 
-    Its spectrum is isotropic_spectrum(d, beta).  A d whose d^2 x d^2
-    matrix numpy cannot address raises MemoryError before any allocation,
-    with a one-line message.
+    Its spectrum is isotropic_spectrum(d, beta).  d, beta and the size of
+    the d^2 x d^2 matrix are checked by _check_isotropic.
     """
-    _check_isotropic(d, beta)
-    n = d * d
-    if 16 * n * n > np.iinfo(np.intp).max:  # bytes of a complex n x n matrix
-        from decimal import Decimal  # only this error needs it
-
-        # past 19 digits as 1.00e+308: str() refuses an int of over 4,300
-        # digits, and format(k, ".3g") one beyond a float
-        d_text, n_text = (str(k) if k < 10**19 else format(Decimal(k), ".3g") for k in (d, n))
-        raise MemoryError(f"d={d_text}: the {n_text} x {n_text} matrix of the state is too big to allocate")
+    n = _check_isotropic(d, beta, matrix=True)
     m = beta * _projector(max_entangled(d)) + (1.0 - beta) * np.eye(n) / n
     return DensityMatrix(m, (d, d))
 
@@ -222,9 +226,9 @@ def isotropic(d: int, beta: float) -> DensityMatrix:
 def isotropic_spectrum(d: int, beta: float) -> np.ndarray:
     """The non-increasing spectrum of isotropic(d, beta) in closed form:
     (1 + beta (d^2 - 1)) / d^2 once and (1 - beta) / d^2 with multiplicity
-    d^2 - 1, the single eigenvalue last for beta < 0.  No matrix is built."""
-    _check_isotropic(d, beta)
-    n = d * d
+    d^2 - 1, the single eigenvalue last for beta < 0.  No matrix is built;
+    d, beta and the size of the spectrum are checked by _check_isotropic."""
+    n = _check_isotropic(d, beta, matrix=False)
     eigs = np.full(n, (1.0 - beta) / n)
     eigs[0 if beta >= 0 else -1] = (1.0 + beta * (n - 1)) / n
     return eigs

@@ -178,8 +178,11 @@ class TestClassifyCommand:
         assert not path.exists()
 
 
+TOO_BIG = " of the state is too big to allocate\n"
+
 # argv (OUT: a file in the test's directory, MISSING: one in a directory
-# that does not exist), exit status, and the start of the one stderr line
+# that does not exist), exit status, and the start of the one stderr line,
+# all of it where the message ends in a newline
 EXIT_STATUS = [
     # a UsageError: what the command line asks for is refused
     (["classify", "--state", "nosuch:x=1"], 2, "error: unknown state 'nosuch'"),
@@ -195,12 +198,15 @@ EXIT_STATUS = [
     (["classify", "--state", "bell:index=0", "--alpha", "1"], 1, "error: alpha=1.0 outside"),
     (["swap-scan", "--family", "global-depolarizing", "--p2", "2", "--out", "OUT"], 1, "error: p=2.0 outside"),
     (["classify", "--state", "iso:d=3,beta=9"], 1, "error: beta=9.0 outside"),
-    # a state too big to address: refused before any allocation
-    (["classify", "--state", "iso:d=1e9,beta=0.5"], 1, "error: d=1000000000: the 1000000000000000000 x"),
-    (["classify", "--state", "iso:d=100000,beta=0.5"], 1, "error: d=100000: the 10000000000 x"),
+    # a state too big to address: refused before any allocation (whole lines)
+    (["classify", "--state", "iso:d=1e9,beta=0.5"], 1,
+     "error: d=1000000000: the 1000000000000000000 x 1000000000000000000 matrix" + TOO_BIG),
+    (["classify", "--state", "iso:d=100000,beta=0.5"], 1, "error: d=100000: the 10000000000 x 10000000000 matrix" + TOO_BIG),
     # d * d beyond a float: no OverflowError on the way to that refusal, and
     # d and d^2 in three digits (test_iso_beyond_a_float_one_short_line)
-    (["classify", "--state", "iso:d=1e308,beta=0"], 1, "error: d=1.00e+308: the 1.00e+616 x"),
+    (["classify", "--state", "iso:d=1e308,beta=0"], 1, "error: d=1.00e+308: the 1.00e+616 x 1.00e+616 matrix" + TOO_BIG),
+    # refused by the range check, with d in three digits as well
+    (["classify", "--state", "iso:d=-1e308,beta=0"], 1, "error: d=-1.00e+308 must be >= 2\n"),
     (["table3", "--out", "MISSING"], 1, "io error: "),
 ]
 
@@ -211,7 +217,7 @@ EXIT_STATUS = [
     ids=[
         "state", "channel", "fraction", "repeated-key", "empty-alpha", "repeated-alpha",
         "marginal", "channel-on-ghzw", "phase-damping", "alpha-1", "p2", "beta", "iso-d-1e9",
-        "iso-d-100000", "iso-d-1e308", "unwritable",
+        "iso-d-100000", "iso-d-1e308", "iso-d--1e308", "unwritable",
     ],
 )
 def test_exit_status_from_error_class(argv, code, message, tmp_path, capsys):

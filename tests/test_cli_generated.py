@@ -8,18 +8,20 @@ expected).  Whatever the line, no exception escapes `main`, the exit code is
 0, 1 or 2, and stderr holds one line: nothing on success but the one
 `warning:` line of a product state, one `error:` (or `io error:`) line on
 exit 1, and on exit 2 one `error:` line or argparse's usage and its error
-line.  Grids stay tiny, so every generated run takes milliseconds.
+line.  No stderr line writes a number out in full.  Grids stay tiny, so
+every generated run takes milliseconds.
 """
 
 import contextlib
 import io
 import math
+import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from absq.cli import main
 
-EDGES = ["nan", "-nan", "inf", "-inf", "-0", "0", "1", "-1", "1e308", "1e400", "1e-320",
+EDGES = ["nan", "-nan", "inf", "-inf", "-0", "0", "1", "-1", "1e308", "-1e308", "1e400", "1e-320",
          "0x10", "1_0", "", "abc", "0.5", "2.5"]
 # the integers an option takes: none above 10, so no grid grows
 COUNTS = ["0", "1", "2", "3", "-1", "1.5", "nan", "inf", "1e308", "0x10", "1_0", "", " 2"]
@@ -28,7 +30,7 @@ STATE_KEYS = {
     "pure-schmidt": {"theta": ["0.3", "0.7854", "1.5707963267948966"]},
     "depolarized-schmidt": {"theta": ["0.7854"], "p": ["0.3", "1"]},
     "acin": {"lambda": ["0.9", "0.2"], "theta": ["0.7854", "3.2"]},
-    "iso": {"d": ["2", "3", "1e20"], "beta": ["0.2", "-0.125", "1"]},
+    "iso": {"d": ["2", "3", "1e20", "1e308", "-1e308"], "beta": ["0.2", "-0.125", "1"]},
     "acin3": {f"x{i}": ["0.4", "0.6", "0.7854", "9"] for i in range(5)} | {"theta": ["0.9"]},
     "ghzw": {"p": ["0.3", "0.8"]},
     "bell": {"index": ["0", "3", "4"]},
@@ -98,6 +100,8 @@ def check_one_line(argv, tmp_path_factory):
     err = stderr.getvalue()
     lines = err.splitlines()
     assert code in (0, 1, 2), (argv, code, err)
+    # a number is never written out in full, such as the 309 digits of 1e308
+    assert not re.search(r"\d{26}", err), (argv, err)
     if code == 0:
         assert lines in ([], [PRODUCT_WARNING]), (argv, err)
     elif code == 1:
@@ -113,6 +117,7 @@ PRODUCT_WARNING = "warning: theta at an endpoint gives a product (unentangled) s
 
 @settings(max_examples=700)
 @given(argv=classify_lines())
+@example(argv=["classify", "--state", "iso:d=-1e308,beta=0", "--csv"])
 def test_classify_exits_with_one_line(argv, tmp_path_factory):
     check_one_line(argv, tmp_path_factory)
 

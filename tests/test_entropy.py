@@ -47,6 +47,20 @@ def _bracket_series(eigs: np.ndarray, terms: int) -> np.ndarray:
     return total
 
 
+def _horner_series(eigs: np.ndarray, terms: int) -> np.ndarray:
+    """spectrum_series_flat with its polynomial P written out as a Horner
+    loop, in place, highest coefficient first."""
+    eigs = np.where(eigs < EIG_ZERO, 0.0, eigs)
+    m = np.arange(1, terms + 1)
+    coefficients = np.zeros(terms + 2)
+    coefficients[2:] = (-1.0) ** m * (1.0 / m + (terms - m))
+    poly = np.zeros_like(eigs)
+    for c in coefficients[::-1]:
+        poly *= eigs
+        poly += c
+    return np.sum(1.0 / m) + np.sum(poly, axis=-1, where=eigs > 0)
+
+
 def random_product_state(da: int, db: int, seed) -> DensityMatrix:
     """rho_A (x) rho_B with independent random factors."""
     rng = np.random.default_rng(seed)
@@ -288,6 +302,14 @@ class TestSeriesEstimateFlat:
                 assert spectrum_series_flat(eigvals_hermitian(rho.matrix), terms) == series_estimate_flat(
                     rho, terms
                 )
+
+    @pytest.mark.parametrize("terms", [1, 10, 12, 2000])
+    def test_polyval_is_the_horner_loop_bit_for_bit(self, terms, rng):
+        # spectra of 1 to 36 eigenvalues, zero-padded to an (8, 36) stack
+        eigs = np.zeros((8, 36))
+        for row, n in zip(eigs, (1, 2, 4, 9, 16, 25, 36, 36)):
+            row[:n] = -np.sort(-rng.dirichlet(np.ones(n)))
+        assert bits(spectrum_series_flat(eigs, terms)) == bits(_horner_series(eigs, terms))
 
     @settings(max_examples=60)
     @given(

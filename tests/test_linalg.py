@@ -1,4 +1,6 @@
+import itertools
 import math
+import string
 import warnings
 
 from hypothesis import given, settings, strategies as st
@@ -241,7 +243,32 @@ class TestEigvalsX:
         assert "\n" not in str(caught.value)
 
 
+def _letter_partial_trace(m, dims, keep):
+    """partial_trace through an einsum subscript string of letters: row
+    letters a, b, ..., column letters after them, a traced column taking
+    its row's letter."""
+    k = len(dims)
+    row = list(string.ascii_lowercase[:k])
+    col = [string.ascii_lowercase[k + i] if i in keep else row[i] for i in range(k)]
+    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    lead = m.shape[:-2]
+    reduced = np.einsum(f"...{''.join(row)}{''.join(col)}->...{out}", m.reshape(lead + tuple(dims + dims)))
+    d_keep = math.prod(dims[i] for i in keep)
+    return reduced.reshape(lead + (d_keep, d_keep))
+
+
 class TestPartialTrace:
+    @pytest.mark.parametrize("dims", [[2, 2, 2], [3, 2]])
+    def test_sublists_are_the_letter_subscripts_bit_for_bit(self, dims, rng):
+        n = math.prod(dims)
+        single = random_density(tuple(dims), rng).matrix
+        stack = np.stack([random_hermitian(n, rng) for _ in range(6)]).reshape(2, 3, n, n)
+        for size in range(1, len(dims) + 1):
+            for keep in itertools.combinations(range(len(dims)), size):
+                for m in (single, stack):
+                    got = partial_trace(m, dims, keep)
+                    assert bits(got) == bits(_letter_partial_trace(m, dims, list(keep)))
+
     def test_bell_marginal_maximally_mixed(self):
         red = partial_trace(bell_state(0).matrix, [2, 2], keep=[1])
         np.testing.assert_allclose(red, np.eye(2) / 2, atol=1e-12)

@@ -166,6 +166,13 @@ def test_isotropic_beyond_a_float_raises_memory_error_in_one_line(d):
     assert "\n" not in str(caught.value) and len(str(caught.value)) < 120
 
 
+def test_isotropic_spectrum_beyond_a_float_raises_memory_error_in_one_line():
+    # 8 d^2 bytes of eigenvalues, refused before (1 - beta) / d^2 overflows
+    with pytest.raises(MemoryError, match=r"^d=1\.00e\+400: the spectrum of 1\.00e\+800 eigenvalues ") as caught:
+        isotropic_spectrum(10**400, 0.5)
+    assert "\n" not in str(caught.value) and len(str(caught.value)) < 120
+
+
 def test_isotropic_range_check():
     with pytest.raises(OutOfRange):
         isotropic(3, -0.2)
@@ -174,7 +181,9 @@ def test_isotropic_range_check():
 @pytest.mark.parametrize(
     "d,beta,message",
     [(3, -0.2, "beta=-0.2 outside"), (3, 1.5, "beta=1.5 outside"), (3, math.nan, "beta=nan outside"),
-     (1, 0.5, "d=1 must be >= 2")],
+     (1, 0.5, "d=1 must be >= 2"),
+     # more digits than str() writes out
+     pytest.param(-(10**5000), 0.0, r"^d=-1\.00e\+5000 must be >= 2$", id="-1e5000")],
 )
 def test_isotropic_spectrum_shares_the_range_check(d, beta, message):
     for factory in (isotropic, isotropic_spectrum):
