@@ -20,7 +20,6 @@ from . import bloch, channels, classify, entropy, states, swap, sweep
 from .errors import AbsqError, NoSignChange, UsageError
 from .linalg import eigvals_hermitian
 from .sweep import format_number, write_csv_rows
-from .tolerances import BISECTION_TOL
 
 USAGE_ERROR = 2
 COMPUTATION_ERROR = 1
@@ -152,15 +151,16 @@ def cmd_classify(args) -> int:
     rho = build_state(args.state)
     if args.channel:
         rho = apply_channel(args.channel, rho)
-    if args.alpha is None:
-        alphas = (0.5, 2.0)
-    else:
+    orders = {}  # without --alpha, classification_report's own default orders
+    if args.alpha is not None:
         alphas = _numbers(args.alpha)
         if alphas is None:
             raise SpecError(f"--alpha expects comma-separated numbers, got {args.alpha!r}")
-        repeated = [a for i, a in enumerate(alphas) if a in alphas[:i]]
+        labels = [f"{a:g}" for a in alphas]  # as printed: 2 and 2.0000001 are one order
+        repeated = [label for i, label in enumerate(labels) if label in labels[:i]]
         if repeated:
-            raise SpecError(f"--alpha repeats the order {repeated[0]:g} in {args.alpha!r}")
+            raise SpecError(f"--alpha repeats the order {repeated[0]} in {args.alpha!r}")
+        orders["alphas"] = alphas
     lines = [f"state: {args.state}" + (f" after {args.channel}" if args.channel else "")]
     if args.marginal:
         if len(rho.dims) != 3:
@@ -176,7 +176,7 @@ def cmd_classify(args) -> int:
         )
         rows = [("marginal_acre2nn", ok_bloch, tnorm), ("marginal_purity", ok_direct, purity)]
     else:
-        report = classify.classification_report(rho, alphas)
+        report = classify.classification_report(rho, **orders)
         # (criterion, verdict, witness, its key in report.thresholds)
         entries = [
             ("afef", report.afef, report.lambda_max, "lambda_max"),
@@ -302,32 +302,27 @@ def table2_rows(points: int = 2001):
 
 def _isotropic_boundaries(beta: float, dims, functional, what: str) -> list[float]:
     """The lambda in [0, 1] where functional(spectrum) = log2(d) after global
-    depolarizing of the isotropic state, for each d of dims, found side by
-    side by sweep._bisection to within BISECTION_TOL.  Each d's spectrum is
-    the closed form states.isotropic_spectrum, so nothing is diagonalized,
-    and each witness call (the 2k ends, then one per step) runs functional
-    once on the depolarized spectra as the rows of a zero-padded stack (the
-    spectral functionals sum positive terms only, so the padding drops out
-    bit for bit).  A d without a crossing raises, naming d and what."""
+    depolarizing of the isotropic state, for each d of dims: the end off the
+    grid of d's run in one sweep.intervals call on the grid {0, 1}.  Each
+    spectrum is the closed form states.isotropic_spectrum, and each witness
+    call runs functional once on a zero-padded stack of the depolarized
+    spectra (the spectral functionals sum positive terms only, so the padding
+    drops out bit for bit).  A d with no run, or one over all of [0, 1] (a
+    witness on log2(d) at an end included), raises, naming the first such d."""
     eigs = [states.isotropic_spectrum(d, beta) for d in dims]
 
-    def witness(keys, lams):
-        stack = np.zeros((len(keys), max(e.size for e in eigs)))
-        for row, n, lam in zip(stack, keys, lams):
+    def witness(which, lams):
+        stack = np.zeros((len(which), max(e.size for e in eigs)))
+        for row, n, lam in zip(stack, which.tolist(), lams.tolist()):
             row[: eigs[n].size] = channels.global_depolarize_spectrum(eigs[n], lam)
-        return functional(stack).tolist()
+        return functional(stack)
 
-    def bisection(d, f_0, f_1):
-        try:
-            return (yield from sweep._bisection(0.0, 1.0, f_0, f_1, math.log2(d), BISECTION_TOL))
-        except NoSignChange:
+    found = sweep.intervals(witness, [(d, math.log2(d), ">=") for d in dims], 0.0, 1.0, points=2)
+    for d, cell in zip(dims, found):
+        if cell in ([], [sweep.Interval(0.0, 1.0)]):
             raise NoSignChange(f"d = {d}: the {what} does not cross log2({d}) = "
-                               f"{format_number(math.log2(d))} for lambda in [0, 1]") from None
-
-    ends = witness([n for n in range(len(dims)) for _ in (0, 1)], [0.0, 1.0] * len(dims))
-    return sweep._side_by_side(
-        witness, [(n, bisection(d, *ends[2 * n : 2 * n + 2])) for n, d in enumerate(dims)]
-    )
+                               f"{format_number(math.log2(d))} for lambda in [0, 1]")
+    return [run.lo if run.hi == 1.0 else run.hi for (run,) in found]
 
 
 def table3_rows():

@@ -68,15 +68,18 @@ def spectrum_power(eigs: np.ndarray, alpha: float) -> float | np.ndarray:
 
 def spectrum_renyi(eigs: np.ndarray, alpha: float) -> float | np.ndarray:
     """Renyi entropy in bits, log2(sum lambda^alpha) / (1 - alpha), over a
-    spectrum, for real alpha > 0 other than 1.  The log of the power sum is
-    taken as alpha log2(lambda_max) + log2(sum (lambda / lambda_max)^alpha):
-    each ratio is at most 1 and the largest is 1, so the sum lies in [1, n]
-    and the log is finite at every finite alpha, where sum lambda^alpha
-    itself underflows to 0 (alpha = 1e10 for lambda_max = 0.775)."""
+    spectrum, for real alpha > 0 other than 1.  With r = lambda / lambda_max
+    and sum lambda = 1 it is -log2(lambda_max) + log1p(sum lambda
+    expm1((alpha - 1) ln r)) / ((1 - alpha) ln 2): finite where sum
+    lambda^alpha underflows (alpha = 1e10) or (alpha - 1) ln r overflows to
+    -inf (alpha = 1e308; expm1 gives -1), and within a few ulps next to
+    alpha = 1, where the plain quotient divides roundoff by 1 - alpha."""
     eigs = _clamp(eigs)
     top = eigs[..., :1]  # lambda_max, the first of a non-increasing spectrum
-    log_power = alpha * np.log2(top[..., 0]) + np.log2(np.sum((eigs / top) ** alpha, axis=-1))
-    return _per_spectrum(log_power / (1.0 - alpha))
+    logs = np.log(np.where(eigs > 0, eigs, top) / top)  # r = 1 for lambda = 0: a term of 0
+    with np.errstate(over="ignore"):
+        log_sum = np.log1p(np.sum(eigs * np.expm1((alpha - 1.0) * logs), axis=-1))
+    return _per_spectrum(log_sum / ((1.0 - alpha) * math.log(2.0)) - np.log2(top[..., 0]))
 
 
 def spectrum_series_flat(eigs: np.ndarray, terms: int) -> float | np.ndarray:

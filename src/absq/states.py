@@ -62,10 +62,9 @@ class DensityMatrix:
         members = m.reshape(-1, n, n)
         finite = np.isfinite(members).all(axis=(1, 2))
         traces = np.trace(members, axis1=1, axis2=2)
-        off = traces - 1.0
         hermitian = _hermitian_defect(members) <= HERMITICITY_TOL
-        # np.hypot, not np.abs: it rounds as Python's abs(complex) does
-        failed = ~(finite & hermitian & (np.hypot(off.real, off.imag) <= TRACE_TOL))
+        unit = np.hypot(traces.real - 1.0, traces.imag) <= TRACE_TOL
+        failed = ~(finite & hermitian & unit)
         rejected = failed.any()
         # lambda_min >= PSD_FLOOR iff H - PSD_FLOOR I is positive definite
         # (up to roundoff)
@@ -83,8 +82,9 @@ class DensityMatrix:
         first = int(np.argmax(failed))
         if not finite[first]:
             raise InvalidState("density matrix has a non-finite entry")
-        _check_hermitian(members[first])
-        if abs(complex(traces[first]) - 1.0) > TRACE_TOL:
+        if not hermitian[first]:
+            _check_hermitian(members[first])
+        if not unit[first]:
             raise InvalidState(f"trace = {complex(traces[first]):.12g}, expected 1")
         raise InvalidState(f"negative eigenvalue {lowest[first]:.3e} below PSD floor")
 

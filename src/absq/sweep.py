@@ -61,8 +61,8 @@ def _bisection(a: float, b: float, f_a: float, f_b: float, target: float, tol: f
     boundary itself.
 
     A NaN value of f, at an end or at a point, raises NoSignChange naming
-    its x.  _side_by_side drives every bisection: those of find_boundary,
-    intervals and the isotropic tables."""
+    its x.  _side_by_side drives every bisection for its only callers,
+    intervals and find_boundary."""
     fa = float(f_a) - target
     fb = float(f_b) - target
     for x, value in ((a, fa), (b, fb)):
@@ -108,10 +108,11 @@ def _bisection(a: float, b: float, f_a: float, f_b: float, target: float, tol: f
 
 
 def _side_by_side(f, bisections) -> list[float]:
-    """The boundaries of (key, _bisection) pairs, run in lockstep: each step
-    is one call f(keys, xs) on the points the open bisections ask for
-    (each x of the witness its key names), one stack for f.  The first
-    bracket without a sign change raises NoSignChange before any step."""
+    """The boundaries of (key, _bisection) pairs from intervals or
+    find_boundary, its only callers, run in lockstep: each step is one call
+    f(keys, xs) on the points the open bisections ask for (each x of the
+    witness its key names), one stack for f.  The first bracket without a
+    sign change raises NoSignChange before any step."""
     found = [0.0] * len(bisections)
     asking = []
 

@@ -384,8 +384,11 @@ class TestKnownInclusions:
     # ACRENN(alpha) are S_inf, S_2, S_1 and S_alpha >= log2 d: so
     # AFEF implies ACRENN(beta), which implies ACRENN(alpha) for alpha < beta,
     # ACRE2NN is ACRENN(2), and ACRENN(alpha > 1) implies ACVENN, which implies
-    # ACRENN(alpha < 1); wherever no S_alpha sits on the threshold
-    ALPHAS = (0.3, 0.5, 0.9, 1.5, 2.0, 3.0, 10.0)
+    # ACRENN(alpha < 1); wherever no S_alpha sits on the threshold.  The
+    # orders next to 1 and the huge ones are checked against S_1 and S_inf,
+    # the limits they are within roundoff of
+    NEAR_LIMITS = {1 + 2**-52: 1, 1 - 2**-53: 1, 1e300: math.inf, 1e308: math.inf}
+    ALPHAS = (0.3, 0.5, 0.9, 1.5, 2.0, 3.0, 10.0, *NEAR_LIMITS)
 
     @settings(max_examples=150)
     @given(data=st.data(), d=st.sampled_from([2, 3, 4]), k=st.floats(1.0, 8.0))
@@ -395,7 +398,7 @@ class TestKnownInclusions:
         n = d * d
         lam = data.draw(_spectrum(d)) ** k
         lam = (1.0 - 1e-6) * lam / lam.sum() + 1e-6 / n
-        orders = (*self.ALPHAS, 1, math.inf)
+        orders = {self.NEAR_LIMITS.get(a, a) for a in self.ALPHAS} | {1, math.inf}
         assume(all(abs(_renyi_bits(lam, a) - math.log2(d)) > 1e-9 for a in orders))
         report = classification_report(DensityMatrix(np.diag(lam), (d, d)), self.ALPHAS)
         chain = [report.afef] + [report.acrenn[a][0] for a in sorted(self.ALPHAS, reverse=True)]

@@ -485,6 +485,25 @@ class TestBadArguments:
         assert "error: argument" in capsys.readouterr().err
         assert not path.exists()
 
+    # refused after parsing, as a repeated order is: exit 2, one `error:`
+    # line, nothing written
+    @pytest.mark.parametrize(
+        "alpha, label",
+        [
+            # both would print as ACRENN[2], with the threshold of 2.0000001
+            ("2,2.0000001", "2"),
+            ("0.3,0.5,0.500000001", "0.5"),
+        ],
+    )
+    def test_orders_that_print_alike(self, alpha, label, tmp_path, capsys):
+        path = tmp_path / "report.csv"
+        code = main(["classify", "--state", "iso:d=3,beta=0.5", "--alpha", alpha, "--csv", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --alpha repeats the order {label} in {alpha!r}\n"
+        assert not path.exists()
+
     def test_resolution_one_accepted(self, tmp_path, capsys):
         path = tmp_path / "scan.csv"
         code = main(["swap-scan", "--family", "global-depolarizing", "--resolution", "1", "--out", str(path)])

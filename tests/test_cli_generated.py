@@ -65,7 +65,8 @@ def classify_lines(draw):
         argv += ["--channel", draw(specs(CHANNEL_KEYS))]
     which = draw(st.sampled_from(["", "alpha", "marginal"]))
     if which == "alpha":
-        orders = draw(st.lists(st.sampled_from(["0.5", "2", "0.3", "1e10"] + EDGES), min_size=1, max_size=3))
+        orders = draw(st.lists(st.sampled_from(["0.5", "2", "0.3", "1e10", "1.0000000000000002"] + EDGES),
+                               min_size=1, max_size=3))
         argv += ["--alpha", ",".join(orders)]
     elif which == "marginal":
         argv += ["--marginal", draw(st.sampled_from(["12", "13", "23", "14", ""]))]
@@ -118,6 +119,7 @@ PRODUCT_WARNING = "warning: theta at an endpoint gives a product (unentangled) s
 @settings(max_examples=700)
 @given(argv=classify_lines())
 @example(argv=["classify", "--state", "iso:d=-1e308,beta=0", "--csv"])
+@example(argv=["classify", "--state", "iso:d=3,beta=-0.125", "--alpha", "1e308", "--csv"])
 def test_classify_exits_with_one_line(argv, tmp_path_factory):
     check_one_line(argv, tmp_path_factory)
 

@@ -13,6 +13,7 @@ from absq.entropy import (
     series_estimate,
     series_estimate_flat,
     spectrum_entropy,
+    spectrum_renyi,
     spectrum_series_flat,
     trace_power,
     von_neumann,
@@ -165,6 +166,21 @@ class TestRenyi:
         # (1/(1-1/2)) log2(2 sqrt(1/2)) = 1
         rho = diag_state(0.5, 0.5, 0.0, 0.0, dims=(2, 2))
         assert renyi(rho, 0.5) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "alpha, spectrum, expected",
+        [
+            # S_1 to 17 digits; log2(sum lambda^alpha) / (1 - alpha) would
+            # divide the power sum's roundoff by 1 - alpha = -2^-52
+            (1 + 2**-52, [0.8125, 0.0625, 0.0625, 0.0625], 0.9933927290103626),
+            # S_inf = -log2(lambda_max); alpha log2(lambda_max) overflows here
+            (1e308, [0.25, 0.25, 0.25, 0.25], 2.0),
+        ],
+        ids=["one-plus-ulp", "1e308"],
+    )
+    def test_orders_at_the_ends_reach_their_limits(self, alpha, spectrum, expected):
+        assert spectrum_renyi(np.array(spectrum), alpha) == pytest.approx(expected, abs=1e-14)
 
     def test_alpha_domain(self):
         rho = pure_schmidt(0.4)
